@@ -19,6 +19,13 @@ def bench_astar_heuristic(run_once):
     ]
     assert all(r >= 1.0 for r in ratios)
     assert ratios[-1] > 2.0
+    # Deterministic gate: expansions are noise-free, so a weaker heuristic
+    # fails here even when wall time hides it.  The ceilings are the
+    # per-modification-rate bound's counts at T = 100 / 200 / 400.
+    assert all(
+        expanded <= ceiling
+        for expanded, ceiling in zip(result.astar_expanded, (144, 306, 2257))
+    )
 
 
 def bench_plan_class(run_once):

@@ -23,19 +23,51 @@ It is not: across an action that moves the remaining total ``M_i = s[i] +
 K_i`` over a multiple of ``b_i``, the floor term drops by a full
 ``f_i(b_i)`` while the action itself may cost far less, violating
 ``h(x) <= f(q) + h(x')`` (we hit such violations with calibrated TPC-R
-cost curves, producing 0.01%-suboptimal answers).  We therefore use the
-tightened-but-consistent per-modification-rate bound
+cost curves, producing 0.01%-suboptimal answers).  We instead relax the
+coupling constraint ``sum_i f_i(s[i]) <= C`` to ``f_i(s[i]) <= C`` for
+each table separately and use the exact cost-to-go of the relaxation,
 
-    h(x) = sum_i (s[i] + K_i) * r_i,     r_i = min_{1<=k<=b_i} f_i(k) / k
+    h(t, s) = sum_i J_i(t, s[i])
+    J_i(t, s) = min_{u in (t, T]} f_i(s + A_i(t, u]) + J_i(u, 0)
 
-which is admissible (every modification must be processed in some batch of
-size at most ``b_i``, paying at least rate ``r_i``) and consistent
-(``h(x) - h(x') = sum_i q_i * r_i <= f(q)``).  Consistency makes the first
-expansion of every node optimal, so each node is expanded at most once.
+where ``A_i(t, u]`` counts table ``i``'s arrivals in ``(t, u]``, the
+final flush at ``u = T`` costs ``f_i`` of everything outstanding, and
+``u`` may not pass the first ``u < T`` at which table ``i`` alone is
+full (the flush is forced there).  ``J_i(u, 0)`` is built once per
+instance by a backward pass; ``J_i(t, s > 0)`` is evaluated lazily and
+memoized.
+
+*Consistency.*  Project an LGM edge ``(t, s) -> (t', s - q)`` onto table
+``i``.  Before ``t'`` the joint pre-action state is not full, so neither
+is table ``i``'s alone (costs are non-negative): if ``q_i > 0`` the
+projection is the single-table move "flush at ``t'``", so ``J_i(t, s[i])
+<= f_i(q_i) + J_i(t', 0)``; if ``q_i = 0`` table ``i`` is not full at
+``t'`` either (the post-action state is valid), every move open at
+``(t', s[i] + A_i(t, t'])`` is open at ``(t, s[i])``, and ``J_i(t, s[i])
+<= J_i(t', s[i] + A_i(t, t'])``.  Summing over ``i`` gives ``h(x) <=
+f(q) + h(x')``; with ``h(T, 0) = 0`` consistency implies admissibility.
+The argument needs only monotone, non-negative costs -- not
+subadditivity, which :class:`~repro.core.costfuncs.TabulatedCost` does
+not guarantee.  Every relaxed batch is at most ``b_i``, so ``J_i`` never
+falls below the per-modification-rate bound ``(s[i] + K_i) * min_{k <=
+b_i} f_i(k) / k``.
+Consistency makes the first expansion of every node optimal, so each node
+is expanded at most once.
+
+**Tie-breaking.**  Equal-cost optimal plans are common, and ADAPT replays
+whichever one the search returns, so the choice is made canonical and
+independent of the heuristic: the heap breaks ``f`` ties on the node's
+timestamp (predecessors pop first), and a path that ties a node's ``g``
+within 1e-12 replaces its parent when the new parent has a smaller
+``(t, state)``.  With a consistent heuristic every optimal predecessor
+of a node is expanded before the node itself, so each node ends up with
+its smallest optimal predecessor -- the same with or without ``h``
+whenever path costs are summed exactly.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import time
@@ -84,15 +116,99 @@ class AStarResult:
 def _heuristic(node: Node, problem: ProblemInstance) -> float:
     """Consistent lower bound on remaining maintenance cost.
 
-    ``sum_i (remaining_i) * min-rate_i`` -- see the module docstring for
-    why this replaces the paper's floor-based estimate.
+    ``sum_i J_i(t, s[i])``, the separable single-table cost-to-go -- see
+    the module docstring for the definition and why it replaces the
+    paper's floor-based estimate.  The ``J_i`` tables are built on first
+    use and kept on ``problem``.
     """
+    tables = problem._cost_to_go
+    if tables is None:
+        full_above = problem.limit + 1e-9  # the is_full threshold
+        prefix = problem.prefix_totals()
+        tables = problem._cost_to_go = tuple(
+            _TableCostToGo(f, costs, [p[i] for p in prefix], full_above)
+            for i, (f, costs) in enumerate(
+                zip(problem.cost_functions, problem._component_memos)
+            )
+        )
     t, state = node
-    future = problem.future_arrivals(t)
-    rates = problem.min_batch_rates()
-    return sum(
-        (s + k) * r for s, k, r in zip(state, future, rates)
-    )
+    return sum(cost_to_go(t, s) for cost_to_go, s in zip(tables, state))
+
+
+class _TableCostToGo:
+    """``J_i(t, s)`` for one table ``i`` of one instance.
+
+    ``cum[t + 1]`` is table ``i``'s arrival count in ``[0, t]`` (its
+    column of :meth:`ProblemInstance.prefix_totals`); ``empty[t + 1] =
+    J_i(t, 0)``, filled by a backward pass, with ``J_i(T, 0) = 0``;
+    ``memo`` holds ``J_i(t, s > 0)`` as the search asks for it.  Costs go
+    through the instance's component memo ``costs``, so every ``f_i(k)``
+    is the bit-identical float :meth:`ProblemInstance.refresh_cost` sums.
+    """
+
+    __slots__ = ("f", "costs", "cum", "grows", "full_above", "empty", "memo")
+
+    def __init__(self, f, costs: dict[int, float], cum: list[int],
+                 full_above: float):
+        self.f = f
+        self.costs = costs
+        self.cum = cum
+        self.full_above = full_above
+        horizon = len(cum) - 2
+        # The steps at which the table's backlog grows, then a sentinel.
+        self.grows = [u for u in range(horizon + 1) if cum[u + 1] > cum[u]]
+        self.grows.append(horizon + 1)
+        self.empty = [0.0] * (horizon + 2)
+        self.memo: dict[tuple[int, int], float] = {}
+        for t in range(horizon - 1, -2, -1):
+            self.empty[t + 1] = self._scan(t, 0)
+
+    def __call__(self, t: int, s: int) -> float:
+        if not s:
+            return self.empty[t + 1]
+        j = self.memo.get((t, s))
+        if j is None:
+            j = self.memo[t, s] = self._scan(t, s)
+        return j
+
+    def _scan(self, t: int, s: int) -> float:
+        """Cheapest whole-table flush time ``u`` in ``(t, T]``, up to and
+        including the first step where the table alone is full.
+
+        Between two growth steps the backlog, hence the flush cost, is
+        constant while ``J_i(u, 0)`` can only fall (costs are monotone:
+        an empty table at a later step has less left to process, under
+        looser fullness limits), so each such run is represented by its
+        last step -- or by its first when the backlog is already full
+        there.  Flush costs grow from run to run and ``J_i(u, 0) >= 0``,
+        so the scan also stops once the flush cost alone reaches the
+        best total found.
+        """
+        costs, cum, empty = self.costs, self.cum, self.empty
+        lookup = costs.get
+        full_above = self.full_above
+        base = s - cum[t + 1]
+        best = float("inf")
+        start = t + 1
+        grows = self.grows
+        first = bisect.bisect_right(grows, start)
+        for end in itertools.islice(grows, first, None):
+            k = base + cum[start + 1]  # the backlog over steps [start, end)
+            c = lookup(k)
+            if c is None:
+                c = costs[k] = self.f(k)
+            if c >= best:
+                break
+            if c > full_above:  # forced flush at start
+                total = c + empty[start + 1]
+                if total < best:
+                    best = total
+                break
+            total = c + empty[end]
+            if total < best:
+                best = total
+            start = end
+        return best
 
 
 def _expand(node: Node, problem: ProblemInstance) -> list[tuple[Node, float]]:
@@ -179,10 +295,14 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
         heuristic_evals += 1
         return _heuristic(node, problem)
 
-    counter = itertools.count()  # tie-breaker for heap stability
+    # Heap entries are (f, t, seq, node): f ties pop the earlier node first
+    # (see "Tie-breaking" in the module docstring); seq keeps it stable.
+    counter = itertools.count()
     g: dict[Node, float] = {source: 0.0}
     parent: dict[Node, Node] = {}
-    open_heap: list[tuple[float, int, Node]] = [(h(source), next(counter), source)]
+    open_heap: list[tuple[float, int, int, Node]] = [
+        (h(source), source[0], next(counter), source)
+    ]
     closed: set[Node] = set()
     expanded = 0
     generated = 1
@@ -195,7 +315,7 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
         heuristic=use_heuristic,
     ) as span:
         while open_heap:
-            __, __, node = heapq.heappop(open_heap)
+            node = heapq.heappop(open_heap)[3]
             if node in closed:
                 continue  # stale heap entry
             if node == destination:
@@ -247,20 +367,24 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
                     # their optimal g; a strictly better path arriving now
                     # is exactly where the paper's floor-based Lemma-7
                     # heuristic misfires (see module docstring).  Counted,
-                    # never repaired: the rate heuristic keeps this at 0.
+                    # never repaired: the separable bound keeps this at 0.
                     if tentative < g[successor] - 1e-12:
                         inconsistencies += 1
                     continue
-                if tentative < g.get(successor, float("inf")) - 1e-12:
+                known = g.get(successor)
+                if known is None or tentative < known - 1e-12:
                     g[successor] = tentative
                     parent[successor] = node
                     heapq.heappush(
                         open_heap,
-                        (tentative + h(successor), next(counter), successor),
+                        (tentative + h(successor), successor[0],
+                         next(counter), successor),
                     )
                     generated += 1
                     if len(open_heap) > heap_peak:
                         heap_peak = len(open_heap)
+                elif tentative <= known + 1e-12 and node < parent[successor]:
+                    parent[successor] = node  # canonical tie-break
     raise ValueError("no valid LGM plan exists for this instance")
 
 
@@ -273,9 +397,9 @@ def check_heuristic_consistency(
     and returns every violating edge as ``(node, successor, h(node),
     edge_cost + h(successor))``.  An empty list certifies consistency over
     the explored region.  This is the tool that exposed the paper's
-    Lemma 7 heuristic as inconsistent; for the rate-based heuristic used
-    by :func:`find_optimal_lgm_plan` it provably returns no violations,
-    and a property test re-checks that on randomized instances.
+    Lemma 7 heuristic as inconsistent; for the separable cost-to-go bound
+    used by :func:`find_optimal_lgm_plan` it provably returns no
+    violations, and property tests re-check that on randomized instances.
     """
     source: Node = (-1, zero_vector(problem.n))
     violations: list[tuple[Node, Node, float, float]] = []

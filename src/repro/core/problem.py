@@ -67,7 +67,8 @@ class ProblemInstance:
     -----
     The instance is immutable; planners treat it as a value.  All heavy
     per-instance precomputation (cumulative and suffix arrival totals, the
-    A* heuristic's per-table batch bounds) is cached lazily.
+    per-table batch bounds, the A* heuristic's per-table cost-to-go
+    tables) is cached lazily.
     """
 
     def __init__(
@@ -103,7 +104,6 @@ class ProblemInstance:
         self._suffix_totals: list[Vector] | None = None
         self._prefix_totals: list[Vector] | None = None
         self._batch_bounds: Vector | None = None
-        self._min_rates: tuple[float, ...] | None = None
         # Value caches for the planners' hot loops.  Cost functions are
         # pure, so caching changes which calls happen, never any value:
         # a memoized result is the bit-identical float the call would
@@ -116,6 +116,9 @@ class ProblemInstance:
             {} for __ in self.cost_functions
         )
         self._action_memo: dict[Vector, tuple[Vector, ...]] = {}
+        # The A* heuristic's per-table cost-to-go tables, built on first
+        # use by :func:`repro.core.astar._heuristic`.
+        self._cost_to_go = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -176,11 +179,11 @@ class ProblemInstance:
     def suffix_totals(self) -> list[Vector]:
         """``suffix_totals()[t][i]`` = modifications to R_i arriving in (t, T].
 
-        Used by the A* heuristic: ``K_i`` for a node with timestamp ``t`` is
-        exactly ``suffix_totals()[t][i]``.  Index ``t`` ranges over ``-1..T``
-        (shifted by one: entry 0 corresponds to ``t = -1``), but to keep
-        call sites simple the returned list has ``T + 2`` entries and is
-        indexed via :meth:`future_arrivals`.
+        ``K_i`` of the paper's Lemma-7 heuristic for a node with timestamp
+        ``t`` is exactly ``suffix_totals()[t][i]``.  Index ``t`` ranges
+        over ``-1..T`` (shifted by one: entry 0 corresponds to ``t = -1``),
+        but to keep call sites simple the returned list has ``T + 2``
+        entries and is indexed via :meth:`future_arrivals`.
         """
         if self._suffix_totals is None:
             totals: list[Vector] = [zero_vector(self.n)] * (self.horizon + 2)
@@ -235,7 +238,7 @@ class ProblemInstance:
         return max((d[i] for d in self.arrivals), default=0)
 
     def batch_bounds(self) -> Vector:
-        """``b_i = m_i + max{b : f_i(b) <= C}`` per table (A* heuristic).
+        """``b_i = m_i + max{b : f_i(b) <= C}`` per table (Lemma 7).
 
         ``b_i`` bounds the number of ``R_i`` modifications one action can
         ever need to process: a lazy plan acts as soon as the state is full,
@@ -249,34 +252,6 @@ class ProblemInstance:
                 bounds.append(max(1, self.max_step_arrival(i) + base))
             self._batch_bounds = tuple(bounds)
         return self._batch_bounds
-
-    def min_batch_rates(self) -> tuple[float, ...]:
-        """Per-table ``min_{1 <= k <= b_i} f_i(k) / k``: the cheapest
-        possible per-modification processing rate any legal batch achieves.
-
-        Used by the A* heuristic's consistent lower bound: any plan pays at
-        least this rate for every remaining modification, and the bound
-        decreases by exactly ``rate * q_i <= f_i(q_i)`` across an action,
-        which is what makes the heuristic consistent (see
-        :mod:`repro.core.astar` for why the paper's floor-based estimate is
-        not).  Exact up to batch sizes of 65536; beyond that the rate is
-        conservatively set to the best sampled rate including ``b_i``
-        itself, or 0 for genuinely unbounded batches.
-        """
-        if self._min_rates is None:
-            rates = []
-            for i, f in enumerate(self.cost_functions):
-                b = self.batch_bounds()[i]
-                if b <= 65536:
-                    rate = min(f(k) / k for k in range(1, b + 1))
-                else:
-                    # The exact minimum could hide between samples; a too-
-                    # high rate would make the heuristic inadmissible, so
-                    # degrade to no guidance (h = 0) for this table.
-                    rate = 0.0
-                rates.append(rate)
-            self._min_rates = tuple(rates)
-        return self._min_rates
 
     # ------------------------------------------------------------------
     # Instance surgery (used by ADAPT and the experiment drivers)

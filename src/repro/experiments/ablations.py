@@ -3,8 +3,8 @@
 Four studies beyond the paper's own figures:
 
 * :func:`run_astar_heuristic_ablation` -- node expansions of A* with the
-  paper's consistent heuristic vs ``h = 0`` (Dijkstra); same optimal cost,
-  fewer expansions;
+  separable cost-to-go heuristic vs ``h = 0`` (Dijkstra); same optimal
+  cost, fewer expansions;
 * :func:`run_plan_class_ablation` -- what each LGM ingredient buys:
   EAGER (violates laziness: flushes every step), NAIVE (lazy + greedy but
   maximal instead of minimal), OPT_LGM (all three);
@@ -259,7 +259,7 @@ def run_replanning_study(
     """Does optimal lookahead over projected arrivals beat greedy H?
 
     Measured answer: only when the projection is right.  With exact rates
-    (uniform stream) the receding-horizon policy is optimal to the digit;
+    (uniform stream) the receding-horizon policy is within 0.02% of optimal;
     on bursty streams its smooth rate projection misrepresents the
     process and committing to the projected optimum *underperforms* the
     paper's robust one-step greedy ``H`` -- a nice empirical defence of

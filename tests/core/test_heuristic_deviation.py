@@ -4,11 +4,11 @@ DESIGN.md records that we replaced the paper's Lemma-7 heuristic
 
     h(x) = sum_i floor((s[i] + K_i) / b_i) * f_i(b_i)
 
-with a per-modification-rate bound because the floor form is not
-consistent.  These tests *show* that: the paper's formula, evaluated on
-the LGM plan graph of a plain linear instance, violates
-``h(x) <= f(q) + h(x')`` across batch-boundary edges, while the rate
-bound never does.
+with the separable single-table cost-to-go bound because the floor form
+is not consistent.  These tests *show* that: the paper's formula,
+evaluated on the LGM plan graph of a plain linear instance, violates
+``h(x) <= f(q) + h(x')`` across batch-boundary edges, while the
+separable bound never does.
 """
 
 import random
@@ -72,10 +72,10 @@ class TestPaperHeuristicInconsistency:
     def test_floor_form_violates_consistency(self, boundary_instance):
         assert violations_of(paper_heuristic, boundary_instance)
 
-    def test_rate_form_is_consistent_on_same_instance(self, boundary_instance):
+    def test_separable_bound_is_consistent_on_same_instance(self, boundary_instance):
         assert check_heuristic_consistency(boundary_instance) == []
 
-    def test_rate_form_consistent_on_random_boundary_instances(self):
+    def test_separable_bound_consistent_on_random_boundary_instances(self):
         rng = random.Random(77)
         for __ in range(6):
             problem = ProblemInstance(

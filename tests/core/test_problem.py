@@ -10,6 +10,7 @@ from repro.core.problem import (
     sub_vectors,
     zero_vector,
 )
+from tests.core.rate_bound import min_batch_rates
 
 
 def two_table_instance(limit=12.0, steps=10):
@@ -111,7 +112,7 @@ class TestArrivalStatistics:
 
     def test_min_batch_rates_linear(self):
         prob = two_table_instance(limit=12.0)
-        rates = prob.min_batch_rates()
+        rates = min_batch_rates(prob)
         # Cheapest rate achieved at the biggest batch.
         assert rates[0] == pytest.approx((0.1 * 71 + 5) / 71)
         assert rates[1] == pytest.approx(0.25)
@@ -120,7 +121,7 @@ class TestArrivalStatistics:
         # Rate * k must never exceed f(k) for any feasible k.
         f = TabulatedCost([(5, 7.0), (10, 9.0), (50, 20.0)])
         prob = ProblemInstance([f], limit=15.0, arrivals=[(2,)] * 5)
-        rate = prob.min_batch_rates()[0]
+        rate = min_batch_rates(prob)[0]
         for k in range(1, prob.batch_bounds()[0] + 1):
             assert rate * k <= f(k) + 1e-9
 

@@ -29,7 +29,7 @@ class TestAStarMetrics:
         assert rec.registry.get("astar.expanded").value == result.expanded
         assert rec.registry.get("astar.generated").value == result.generated
         assert result.expanded > 0
-        # The rate heuristic is consistent on LGM instances: the deviation
+        # The separable bound is consistent on LGM instances: the deviation
         # counter exists but stays at zero.
         inconsistency = rec.registry.get(
             "astar.heuristic.inconsistency_detected"
