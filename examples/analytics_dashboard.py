@@ -111,10 +111,9 @@ def main() -> None:
     for name, cost in sorted(
         coordinator.cost_breakdown().items(), key=lambda kv: -kv[1]
     ):
-        log = coordinator.maintainer(name).log
-        print(
-            f"  {name:24s} {cost:9.1f} ms over {log.action_count} actions"
-        )
+        ledger = coordinator.maintainer(name).ledger
+        actions = sum(1 for e in ledger.entries if e.flushes)
+        print(f"  {name:24s} {cost:9.1f} ms over {actions} actions")
     print(f"  {'TOTAL':24s} {coordinator.total_cost_ms():9.1f} ms")
 
 

@@ -35,17 +35,16 @@ Commands
 
 ``control-log``
     Render the adaptive runtime's control trail as a text tree: every
-    actuation a governor made (policy switches, worker-pool resizes,
-    block-size changes) with its reason and the signal values it acted
-    on.  Reads a ``--control-log`` JSONL file with ``--log``; without
-    one it runs a small adaptive sample on the paper's workload under
-    SLO pressure.  ``--governor`` and ``--view`` filter the trail.
+    policy switch the governor made with its reason and the signal
+    values it acted on.  Reads a ``--control-log`` JSONL file with
+    ``--log``; without one it runs a small governed sample on the
+    paper's workload under SLO pressure.  ``--view`` filters the trail.
 
 ``control-ablation``
-    Run the closed-loop ablation: baseline (no controller), the full
-    loop, and one run per disabled governor over the same bursty
-    SLO-pressure workload, then print the variants and each governor's
-    ranked contribution (breaches and wall time vs the full loop).
+    Run the closed-loop ablation: baseline (no governor) and the
+    governed run (policy governor attached) over the same bursty
+    SLO-pressure workload, then print breaches, near-breaches, wall
+    time and actuations for both.
 
 Observability (any subcommand)
 ------------------------------
@@ -83,10 +82,10 @@ Observability (any subcommand)
     format of ``repro why --log FILE``.  Independent of ``--metrics``.
 
 ``--control-log FILE``
-    Install a global control log for the run: every actuation the
-    adaptive runtime's governors make is captured and dumped to FILE as
-    JSONL on exit -- the input format of ``repro control-log --log
-    FILE``.  Independent of ``--metrics``.
+    Install a global control log for the run: every policy switch the
+    adaptive runtime makes is captured and dumped to FILE as JSONL on
+    exit -- the input format of ``repro control-log --log FILE``.
+    Independent of ``--metrics``.
 
 Execution (any subcommand)
 --------------------------
@@ -199,8 +198,8 @@ def _obs_flags() -> argparse.ArgumentParser:
         metavar="FILE",
         default=argparse.SUPPRESS,
         help=(
-            "capture every actuation the adaptive runtime's governors "
-            "make and dump the trail to FILE as JSONL on exit "
+            "capture every policy switch the adaptive runtime "
+            "makes and dump the trail to FILE as JSONL on exit "
             "(readable with `repro control-log --log FILE`)"
         ),
     )
@@ -383,8 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     control_log = sub.add_parser(
         "control-log",
         help=(
-            "render the adaptive runtime's control trail: every governor "
-            "actuation with its reason and signal values"
+            "render the adaptive runtime's control trail: every policy "
+            "switch with its reason and signal values"
         ),
         parents=[obs_flags],
     )
@@ -398,12 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     control_log.add_argument(
-        "--governor",
-        choices=["policy", "workers", "block_size"],
-        default=None,
-        help="only events from this governor",
-    )
-    control_log.add_argument(
         "--view", default=None, help="only events for this view"
     )
     control_log.add_argument("--scale", type=float, default=0.01)
@@ -415,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     control_ablation = sub.add_parser(
         "control-ablation",
         help=(
-            "run the closed-loop ablation (baseline + full loop + one "
-            "run per disabled governor) and print the ranked report"
+            "run the closed-loop ablation (baseline vs the governed "
+            "run) and print the report"
         ),
         parents=[obs_flags],
     )
@@ -565,8 +558,8 @@ def _with_decision_log(handler, path):
 def _with_control_log(handler, path):
     """Wrap a subcommand handler with the global control-event log.
 
-    Every actuation the adaptive runtime's governors make during the run
-    is captured; the trail streams to ``path`` as JSONL on exit (one
+    Every policy switch the adaptive runtime makes during the run is
+    captured; the trail streams to ``path`` as JSONL on exit (one
     event dict per line, the input of ``repro control-log --log``).  The
     previous log (none, normally) is restored afterwards.
     """
@@ -941,9 +934,7 @@ def _run_control_log(args) -> int:
             scale=args.scale, horizon=args.horizon
         )
     print(
-        control_events.render_control_log(
-            events, governor=args.governor, view=args.view
-        )
+        control_events.render_control_log(events, view=args.view)
     )
     return 0
 

@@ -1,20 +1,16 @@
-"""Closed-loop adaptive runtime: governors that consume the telemetry.
+"""Closed-loop adaptive runtime: the policy loop that consumes the telemetry.
 
-Every signal the observability layer grew -- ``slo.*`` margins with
-alert callbacks, ``engine.parallel.*`` queue/merge-wait metrics,
-``engine.block.low_fill``, calibration drift residuals -- feeds a
-controller here that actuates the matching runtime knob: scheduling
-policy (:meth:`~repro.ivm.maintainer.ViewMaintainer.set_policy`),
-worker-pool size (:meth:`~repro.engine.database.Database.set_workers`),
-and block size (:meth:`~repro.engine.database.Database.set_block_size`).
-Every actuation is recorded as a :class:`~repro.control.events.ControlEvent`
-in a bounded log with ``control.*`` metrics, a ``/control`` HTTP route,
-and the ``repro control-log`` CLI renderer.  The ablation harness
+:class:`~repro.control.governors.PolicyGovernor` listens to the
+``slo.*`` alert hub and the calibration-drift hub and switches a view's
+scheduling policy (:meth:`~repro.ivm.maintainer.ViewMaintainer.set_policy`)
+between rounds.  Every switch is recorded as a
+:class:`~repro.control.events.ControlEvent` in a bounded log with
+``control.*`` metrics, a ``/control`` HTTP route, and the
+``repro control-log`` CLI renderer.  The ablation harness
 (:mod:`repro.control.ablation`, ``benchmarks/bench_ablations_control.py``)
-scores each governor's contribution.
+scores the loop against an ungoverned baseline.
 """
 
-from repro.control.controller import Controller, build_controller
 from repro.control.events import (
     ControlEvent,
     ControlLog,
@@ -23,22 +19,12 @@ from repro.control.events import (
     render_control_log,
     set_control_log,
 )
-from repro.control.governors import (
-    BlockSizeGovernor,
-    Governor,
-    PolicyGovernor,
-    WorkerGovernor,
-)
+from repro.control.governors import PolicyGovernor
 
 __all__ = [
-    "BlockSizeGovernor",
     "ControlEvent",
     "ControlLog",
-    "Controller",
-    "Governor",
     "PolicyGovernor",
-    "WorkerGovernor",
-    "build_controller",
     "collecting",
     "get_control_log",
     "render_control_log",

@@ -2,19 +2,15 @@
 
 One SLO-pressure workload (the paper view under a bursty 80:1 arrival
 mix, constraint C sized so the ONLINE policy rides the near-breach
-band), five runs:
+band), two runs:
 
-* ``baseline`` -- no controller attached at all;
-* ``full`` -- all three governors on;
-* ``no-policy`` / ``no-workers`` / ``no-block`` -- one governor
-  disabled each.
+* ``baseline`` -- no governor attached at all;
+* ``governed`` -- the :class:`~repro.control.governors.PolicyGovernor`
+  attached and ticked after every round.
 
-Every run replays the identical modification stream (same seeds), so
+Both runs replay the identical modification stream (same seeds), so
 differences in ``slo.breaches`` and wall time are attributable to the
-governors alone.  The report ranks each governor by what disabling it
-costs relative to the full loop -- the format the ROADMAP's
-closed-loop item asks for: baseline plus one run per disabled
-controller, ranked importance.
+policy loop alone.
 
 Breaches are counted through the :func:`repro.obs.slo.alerts` hub (not
 the metrics registry), so the harness works identically standalone,
@@ -24,29 +20,17 @@ under the benchmark recorder, and in CI smoke runs.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.control import events as control_events
-from repro.control.controller import build_controller
 from repro.control.events import ControlEvent
+from repro.control.governors import PolicyGovernor
 from repro.obs import slo
 
-#: (name, governor flags) per run; ``None`` = no controller attached.
-VARIANTS: tuple[tuple[str, dict | None], ...] = (
-    ("baseline", None),
-    ("full", {"policy": True, "workers": True, "block": True}),
-    ("no-policy", {"policy": False, "workers": True, "block": True}),
-    ("no-workers", {"policy": True, "workers": False, "block": True}),
-    ("no-block", {"policy": True, "workers": True, "block": False}),
-)
-
-#: Which variant isolates each governor (the run where ONLY it is off).
-GOVERNOR_VARIANT = {
-    "policy": "no-policy",
-    "workers": "no-workers",
-    "block_size": "no-block",
-}
+#: Variant names, in report order.
+VARIANTS = ("baseline", "governed")
 
 
 @dataclass
@@ -58,42 +42,18 @@ class VariantRun:
     near_breaches: int
     steps: int
     wall_s: float
-    final_workers: int
-    final_block: int | None
     events: list[ControlEvent] = field(default_factory=list)
     view_contents: tuple = ()
     charge_snapshot: dict = field(default_factory=dict)
 
-    def actuations(self, governor: str) -> int:
-        return sum(
-            1 for e in self.events if e.governor == governor and e.applied
-        )
-
 
 @dataclass
 class ControlAblationResult:
-    """All variants plus the ranked governor-importance table."""
+    """Both variants of one ablation run."""
 
     variants: dict[str, VariantRun]
     limit: float
     params: dict
-
-    def ranking(self) -> list[tuple[str, int, float]]:
-        """``(governor, breach_cost, wall_cost_s)`` of disabling each
-        governor relative to the full loop, most important first."""
-        full = self.variants["full"]
-        rows = []
-        for governor, variant in GOVERNOR_VARIANT.items():
-            run = self.variants[variant]
-            rows.append(
-                (
-                    governor,
-                    run.breaches - full.breaches,
-                    run.wall_s - full.wall_s,
-                )
-            )
-        rows.sort(key=lambda r: (-r[1], -r[2], r[0]))
-        return rows
 
     def format(self) -> str:
         lines = [
@@ -103,23 +63,12 @@ class ControlAblationResult:
             f"~{self.params['burst_every']})",
             "",
             f"{'variant':<11} {'breaches':>8} {'near':>6} {'wall_s':>8} "
-            f"{'actuations':>10} {'workers':>7} {'block':>6}",
+            f"{'actuations':>10}",
         ]
         for name, run in self.variants.items():
-            block = "row" if run.final_block is None else str(run.final_block)
             lines.append(
                 f"{name:<11} {run.breaches:>8d} {run.near_breaches:>6d} "
-                f"{run.wall_s:>8.3f} {len([e for e in run.events if e.applied]):>10d} "
-                f"{run.final_workers:>7d} {block:>6}"
-            )
-        lines.append("")
-        lines.append("Governor importance (cost of disabling it, vs full):")
-        for rank, (governor, d_breach, d_wall) in enumerate(
-            self.ranking(), start=1
-        ):
-            lines.append(
-                f"{rank}. {governor:<11} {d_breach:+d} breaches  "
-                f"{d_wall:+.3f} s wall"
+                f"{run.wall_s:>8.3f} {len([e for e in run.events if e.applied]):>10d}"
             )
         return "\n".join(lines)
 
@@ -147,27 +96,22 @@ _BURST_FACTOR = 8
 
 def _run_variant(
     name: str,
-    flags: dict | None,
+    governed: bool,
     arrivals,
     costs,
     limit: float,
     scale: float,
     seed: int,
-    workers: int,
-    block_size: int,
 ) -> VariantRun:
     from repro.core.online import OnlinePolicy
     from repro.experiments import common
     from repro.ivm.multiview import MaintenanceCoordinator, ViewConfig
 
-    setup = common.build_setup(
-        scale=scale, update_seed=seed, block_size=block_size
-    )
+    setup = common.build_setup(scale=scale, update_seed=seed)
     # build_setup materializes its own view; this harness drives the
     # coordinator's copy instead, so drop the spare subscription.
     setup.view.close()
     db = setup.database
-    db.set_workers(workers)
     coordinator = MaintenanceCoordinator(db)
     coordinator.add_view(
         ViewConfig(
@@ -179,9 +123,7 @@ def _run_variant(
             scheduled_aliases=common.SCHEDULED_ALIASES,
         )
     )
-    controller = (
-        build_controller(coordinator, **flags) if flags is not None else None
-    )
+    governor = PolicyGovernor(coordinator) if governed else None
     breaches = 0
     near = 0
 
@@ -195,24 +137,16 @@ def _run_variant(
             near += 1
 
     try:
-        # A fresh per-variant recorder: the worker/block governors read
-        # engine.parallel.* / engine.block.* deltas from the registry, so
-        # without one they would be blind (and variants would share
-        # metric state under an outer benchmark recorder).
+        # A fresh per-variant recorder, so variants never share metric
+        # state under an outer benchmark recorder.
         with obs.recording(), control_events.collecting() as log, \
-                slo.alerts(count):
-            if controller is not None:
-                controller.attach()
+                slo.alerts(count), governor or nullcontext():
             start = time.perf_counter()
-            try:
-                for t, step_arrivals in enumerate(arrivals):
-                    setup.apply_arrivals(step_arrivals)
-                    coordinator.step(t)
-                    if controller is not None:
-                        controller.tick(t)
-            finally:
-                if controller is not None:
-                    controller.detach()
+            for t, step_arrivals in enumerate(arrivals):
+                setup.apply_arrivals(step_arrivals)
+                coordinator.step(t)
+                if governor is not None:
+                    governor.tick(t)
             wall = time.perf_counter() - start
         view = coordinator.maintainer("paper_view").view
         return VariantRun(
@@ -221,8 +155,6 @@ def _run_variant(
             near_breaches=near,
             steps=len(arrivals),
             wall_s=wall,
-            final_workers=db.workers,
-            final_block=db.block_size,
             events=log.events(),
             view_contents=tuple(sorted(view.contents().items())),
             charge_snapshot=dict(db.counter.snapshot()),
@@ -235,22 +167,16 @@ def run_control_ablation(
     scale: float = 0.01,
     horizon: int = 120,
     seed: int = 11,
-    workers: int = 1,
-    block_size: int = 2048,
 ) -> ControlAblationResult:
-    """Run the five-variant ablation; see the module docstring.
-
-    ``block_size`` is deliberately oversized for the workload so the
-    block governor has real slack to reclaim, and ``workers`` starts the
-    pool small so the worker governor has headroom both ways.
-    """
+    """Run the two-variant ablation; see the module docstring."""
     arrivals, costs, limit = _pressure_workload(scale, horizon, seed)
-    variants: dict[str, VariantRun] = {}
-    for name, flags in VARIANTS:
-        variants[name] = _run_variant(
-            name, flags, arrivals, costs, limit,
-            scale=scale, seed=seed, workers=workers, block_size=block_size,
+    variants = {
+        name: _run_variant(
+            name, name == "governed", arrivals, costs, limit,
+            scale=scale, seed=seed,
         )
+        for name in VARIANTS
+    }
     return ControlAblationResult(
         variants=variants,
         limit=limit,
@@ -258,8 +184,6 @@ def run_control_ablation(
             "scale": scale,
             "horizon": horizon,
             "seed": seed,
-            "workers": workers,
-            "block_size": block_size,
             "burst_every": _BURST_EVERY,
             "burst_factor": _BURST_FACTOR,
         },
@@ -270,10 +194,8 @@ def run_control_sample(
     scale: float = 0.01,
     horizon: int = 80,
     seed: int = 11,
-    workers: int = 1,
-    block_size: int = 2048,
 ) -> list[ControlEvent]:
-    """One adaptive run (all governors on) for ``repro control-log``.
+    """One governed run for ``repro control-log``.
 
     Returns the control trail; when a process-global control log is
     installed (the ``--control-log`` flag), the events are fed into it
@@ -281,10 +203,7 @@ def run_control_sample(
     """
     arrivals, costs, limit = _pressure_workload(scale, horizon, seed)
     run = _run_variant(
-        "full",
-        {"policy": True, "workers": True, "block": True},
-        arrivals, costs, limit,
-        scale=scale, seed=seed, workers=workers, block_size=block_size,
+        "governed", True, arrivals, costs, limit, scale=scale, seed=seed
     )
     installed = control_events.get_control_log()
     if installed is not None:

@@ -1,10 +1,9 @@
 """Structured control-plane events: every actuation leaves a record.
 
-The adaptive runtime (:mod:`repro.control`) changes live settings --
-scheduling policy, worker-pool size, execution block size -- from
-observed telemetry.  A closed loop that cannot explain itself is worse
-than no loop: when a run misbehaves, the first question is "what did the
-controller do, when, and on what evidence?".  This module answers it
+The adaptive runtime (:mod:`repro.control`) switches a view's live
+scheduling policy from observed telemetry.  A closed loop that cannot
+explain itself is worse than no loop: when a run misbehaves, the first
+question is "what did the controller do, when, and on what evidence?".  This module answers it
 with the same shape the planner's decision log uses
 (:mod:`repro.obs.decisions`):
 
@@ -20,10 +19,8 @@ with the same shape the planner's decision log uses
   JSON.
 
 Strictly observational: recording an event never touches the operation
-counter.  The *actuations themselves* change wall-clock behavior by
-design, but never simulated costs (policy switches change the schedule,
-which is the point; worker/block resizes are cost-neutral by the
-charge-on-merge and block-equivalence invariants).
+counter.  The *actuations themselves* change the schedule, and with it
+the simulated cost, by design.
 """
 
 from __future__ import annotations
@@ -53,18 +50,16 @@ DEFAULT_CAPACITY = 4096
 class ControlEvent:
     """One control-loop actuation (or explicitly suppressed actuation).
 
-    ``old``/``new`` are the setting's values before and after --
-    strings for policy modes, integers for pool/block sizes.
-    ``signals`` holds the raw numeric evidence the governor acted on,
+    ``old``/``new`` are the setting's values before and after (policy
+    mode names).  ``signals`` holds the raw numeric evidence the governor acted on,
     keyed by signal name.  ``applied`` is ``False`` for events a
-    governor recorded without actually changing anything (e.g. a
-    resize clamped at its bound), so suppressed decisions are auditable
-    too.
+    governor recorded without actually changing anything, so suppressed
+    decisions are auditable too.
     """
 
     t: int | None
-    governor: str  # "policy" | "workers" | "block_size"
-    setting: str  # the knob changed, e.g. "policy", "workers"
+    governor: str  # "policy"
+    setting: str  # the knob changed: "policy"
     old: object
     new: object
     reason: str
@@ -127,16 +122,9 @@ class ControlLog:
         with self._lock:
             return list(self._events)
 
-    def filtered(
-        self, governor: str | None = None, view: str | None = None
-    ) -> list[ControlEvent]:
-        """Events matching the optional governor / view filters, in order."""
-        return [
-            e
-            for e in self.events()
-            if (governor is None or e.governor == governor)
-            and (view is None or e.view == view)
-        ]
+    def filtered(self, view: str | None = None) -> list[ControlEvent]:
+        """Events matching the optional view filter, in order."""
+        return [e for e in self.events() if view is None or e.view == view]
 
 
 # --------------------------------------------------------------------------
@@ -174,8 +162,8 @@ def emit(event: ControlEvent) -> ControlEvent:
     """Record ``event`` in the global log and export its metrics.
 
     ``control.events`` counts every emission; ``control.actuations``
-    only the ones that actually changed a setting.  Governors layer
-    their own per-knob counters/gauges on top.
+    only the ones that actually changed a setting.  The policy governor
+    adds ``control.policy.switches`` on top.
     """
     log = _log
     if log is not None:
@@ -216,24 +204,12 @@ def _event_lines(event: ControlEvent) -> list[str]:
 
 
 def render_control_log(
-    events: Sequence[ControlEvent],
-    governor: str | None = None,
-    view: str | None = None,
+    events: Sequence[ControlEvent], view: str | None = None
 ) -> str:
     """Render control events as a text tree (``repro control-log``)."""
-    picked = [
-        e
-        for e in events
-        if (governor is None or e.governor == governor)
-        and (view is None or e.view == view)
-    ]
+    picked = [e for e in events if view is None or e.view == view]
     if not picked:
-        scope_bits = []
-        if governor is not None:
-            scope_bits.append(f"governor={governor}")
-        if view is not None:
-            scope_bits.append(f"view={view}")
-        suffix = f" matching {' '.join(scope_bits)}" if scope_bits else ""
+        suffix = f" matching view={view}" if view is not None else ""
         return f"control log: no events{suffix}"
     lines = [f"control log: {len(picked)} event(s)"]
     for event in picked:

@@ -1,35 +1,30 @@
-"""The three governors: policy, worker-pool, and block-size feedback loops.
+"""The policy governor: the one feedback loop of the adaptive runtime.
 
-Each governor closes one loop between an existing telemetry stream and
-an existing runtime knob:
+It closes the loop between the SLO and calibration-drift alert hubs
+and the per-view scheduling policy
+(:meth:`~repro.ivm.maintainer.ViewMaintainer.set_policy`) -- the only
+runtime knob that moves the paper's objective ``f(s) <= C``.  Worker
+count and block size are cost-neutral by construction
+(charge-on-merge, block equivalence), so no loop drives them.
 
-============  ===============================================  =========================
-governor      consumes                                         actuates
-============  ===============================================  =========================
-policy        ``slo.*`` alert hub + calibration drift hub      ``ViewMaintainer.set_policy``
-workers       ``engine.parallel.merge_wait_ms`` / ``.tasks``   ``Database.set_workers``
-              / ``.queue_depth``
-block_size    ``engine.block.low_fill`` / ``.fill``            ``Database.set_block_size``
-============  ===============================================  =========================
-
-Design rules shared by all three:
+Design rules:
 
 * **buffer in callbacks, act in ticks** -- alert-hub callbacks fire
   inline from the maintenance path, so they only append to bounded
-  buffers; every actuation happens in :meth:`Governor.tick`, which the
-  :class:`~repro.control.controller.Controller` calls *between* rounds.
-  Settings therefore never change under an executing round.
-* **bounded and hysteretic** -- every knob moves within explicit
-  [min, max] bounds and only after a configurable amount of evidence,
-  with a cooldown before relaxing back, so one noisy interval cannot
-  make the loop thrash.
-* **auditable** -- every actuation (and every clamped non-actuation)
-  emits a :class:`~repro.control.events.ControlEvent` plus fixed
-  ``control.<knob>.*`` metrics.
-* **disabled == invisible** -- a governor with ``enabled=False`` never
-  attaches callbacks, never reads signals, never actuates; runs with
-  all governors disabled are byte-identical to runs without the control
-  layer (guarded by ``tests/integration/test_control_equivalence.py``).
+  buffers; every switch happens in :meth:`PolicyGovernor.tick`, called
+  *between* rounds.  Policies therefore never change under an
+  executing round.
+* **hysteretic** -- escalation needs ``escalate_after`` pressure
+  events inside a trailing window, and relaxing back waits out a
+  ``cooldown``, so one noisy interval cannot make the loop thrash.
+* **auditable** -- every switch emits a
+  :class:`~repro.control.events.ControlEvent` plus the
+  ``control.policy.switches`` counter.
+* **idle == invisible** -- attach/detach only add and remove the
+  hub subscriptions; a governor that never reaches its threshold
+  leaves view contents and simulated costs byte-identical to a run
+  without one (guarded by
+  ``tests/integration/test_control_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -45,7 +40,6 @@ from repro.obs import calibration as obs_calibration
 from repro.obs import slo
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
-    from repro.engine.database import Database
     from repro.ivm.multiview import MaintenanceCoordinator
 
 #: Policy-mode names, in escalation order (most defensive first).
@@ -76,52 +70,7 @@ def _mode_of(policy) -> str:
     return name or "custom"
 
 
-class Governor:
-    """Base shape: attach/detach around a run, tick between rounds."""
-
-    name = "governor"
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-
-    def attach(self) -> None:  # pragma: no cover - overridden
-        pass
-
-    def detach(self) -> None:  # pragma: no cover - overridden
-        pass
-
-    def tick(self, t: int) -> None:  # pragma: no cover - overridden
-        pass
-
-    # ------------------------------------------------------------------
-
-    def _emit(
-        self,
-        t: int,
-        setting: str,
-        old,
-        new,
-        reason: str,
-        signals: dict[str, float],
-        view: str | None = None,
-        applied: bool = True,
-    ) -> ControlEvent:
-        return control_events.emit(
-            ControlEvent(
-                t=t,
-                governor=self.name,
-                setting=setting,
-                old=old,
-                new=new,
-                reason=reason,
-                signals=signals,
-                view=view,
-                applied=applied,
-            )
-        )
-
-
-class PolicyGovernor(Governor):
+class PolicyGovernor:
     """Switch per-view scheduling policy from SLO pressure and drift.
 
     Escalation ladder (most defensive wins):
@@ -136,6 +85,14 @@ class PolicyGovernor(Governor):
       amortized score);
     * ``cooldown`` consecutive quiet steps -> relax back to the
       preferred mode (ONLINE by default).
+
+    Usage::
+
+        with PolicyGovernor(coordinator) as governor:  # subscribe
+            for t, arrivals in enumerate(stream):
+                apply(arrivals)
+                coordinator.step(t)
+                governor.tick(t)     # read buffered alerts, maybe switch
     """
 
     name = "policy"
@@ -143,14 +100,12 @@ class PolicyGovernor(Governor):
     def __init__(
         self,
         coordinator: "MaintenanceCoordinator",
-        enabled: bool = True,
         preferred: str = ONLINE,
         escalate_after: int = 3,
         window: int = 10,
         cooldown: int = 20,
         policy_factory: Callable[[str], object] | None = None,
     ):
-        super().__init__(enabled)
         if escalate_after < 1:
             raise ValueError(f"escalate_after must be >= 1, got {escalate_after}")
         if window < 1:
@@ -170,18 +125,30 @@ class PolicyGovernor(Governor):
         self._modes: dict[str, str] = {}
         #: view -> last step with any pressure event.
         self._last_event: dict[str, int] = {}
+        self._attached = False
 
     # -- subscriptions --------------------------------------------------
 
-    def attach(self) -> None:
-        if not self.enabled:
-            return
-        slo.on_alert(self._on_slo)
-        obs_calibration.on_drift(self._on_drift)
+    def attach(self) -> "PolicyGovernor":
+        """Subscribe to the SLO and drift alert hubs (idempotent)."""
+        if not self._attached:
+            slo.on_alert(self._on_slo)
+            obs_calibration.on_drift(self._on_drift)
+            self._attached = True
+        return self
 
     def detach(self) -> None:
-        slo.remove_alert(self._on_slo)
-        obs_calibration.remove_drift(self._on_drift)
+        """Remove both subscriptions (idempotent, safe if never attached)."""
+        if self._attached:
+            slo.remove_alert(self._on_slo)
+            obs_calibration.remove_drift(self._on_drift)
+            self._attached = False
+
+    def __enter__(self) -> "PolicyGovernor":
+        return self.attach()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.detach()
 
     def _on_slo(self, event) -> None:
         source = getattr(event, "source", "")
@@ -226,13 +193,22 @@ class PolicyGovernor(Governor):
         recorder = obs.get_recorder()
         if recorder is not None:
             recorder.counter("control.policy.switches")
-        self._emit(
-            t, "policy", old, mode, reason, signals, view=view
+        control_events.emit(
+            ControlEvent(
+                t=t,
+                governor=self.name,
+                setting="policy",
+                old=old,
+                new=mode,
+                reason=reason,
+                signals=signals,
+                view=view,
+            )
         )
 
     def tick(self, t: int) -> None:
-        if not self.enabled:
-            return
+        """One control interval: switch views whose buffered evidence
+        crossed a threshold.  Call between maintenance rounds."""
         with self._lock:
             pressure = {v: list(q) for v, q in self._pressure.items()}
             drifted = dict(self._drifted)
@@ -290,264 +266,3 @@ class PolicyGovernor(Governor):
                     ),
                     signals={"quiet_steps": float(quiet_for)},
                 )
-
-
-class WorkerGovernor(Governor):
-    """Resize the parallel pool from observed merge waits and task flow.
-
-    Signals are read as per-tick deltas from the ambient recorder's
-    registry (``engine.parallel.tasks`` / ``merge_wait_ms``), plus the
-    running ``queue_depth`` peak for the event record.  Grow when the
-    merge waited more than ``grow_wait_ms`` per task over the interval
-    (workers are the bottleneck); shrink when it waited less than
-    ``shrink_wait_ms`` while tasks still flowed (pool is oversized).
-    One step per tick, bounded to [``min_workers``, ``max_workers``].
-    Without a recorder there is nothing to read and the governor holds.
-    """
-
-    name = "workers"
-
-    def __init__(
-        self,
-        database: "Database",
-        enabled: bool = True,
-        min_workers: int = 0,
-        max_workers: int = 8,
-        grow_wait_ms: float = 1.0,
-        shrink_wait_ms: float = 0.05,
-    ):
-        super().__init__(enabled)
-        if min_workers < 0 or max_workers < min_workers:
-            raise ValueError(
-                f"need 0 <= min_workers <= max_workers, got "
-                f"[{min_workers}, {max_workers}]"
-            )
-        self.database = database
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.grow_wait_ms = grow_wait_ms
-        self.shrink_wait_ms = shrink_wait_ms
-        self._last_tasks = 0.0
-        self._last_wait_total = 0.0
-        self._last_wait_count = 0
-
-    @staticmethod
-    def _metric(registry, name: str):
-        return registry.get(name)
-
-    def tick(self, t: int) -> None:
-        if not self.enabled:
-            return
-        recorder = obs.get_recorder()
-        if recorder is None:
-            return
-        registry = recorder.registry
-        tasks = self._metric(registry, "engine.parallel.tasks")
-        wait = self._metric(registry, "engine.parallel.merge_wait_ms")
-        tasks_now = float(tasks.value) if tasks is not None else 0.0
-        wait_total = float(wait.total) if wait is not None else 0.0
-        wait_count = int(wait.count) if wait is not None else 0
-        d_tasks = tasks_now - self._last_tasks
-        d_total = wait_total - self._last_wait_total
-        d_count = wait_count - self._last_wait_count
-        self._last_tasks = tasks_now
-        self._last_wait_total = wait_total
-        self._last_wait_count = wait_count
-        if d_tasks <= 0:
-            return  # idle interval: no parallel work, no evidence
-        mean_wait = d_total / d_count if d_count else 0.0
-        depth = self._metric(registry, "engine.parallel.queue_depth")
-        depth_peak = (
-            float(depth.value) if depth is not None and depth._set else 0.0
-        )
-        workers = self.database.workers
-        signals = {
-            "merge_wait_ms_mean": mean_wait,
-            "tasks_delta": d_tasks,
-            "queue_depth_peak": depth_peak,
-        }
-        if mean_wait > self.grow_wait_ms and workers < self.max_workers:
-            self._resize(
-                t,
-                workers + 1,
-                reason=(
-                    f"merge waited {mean_wait:.3f} ms/task over the last "
-                    f"interval (> {self.grow_wait_ms} ms): workers are "
-                    f"the bottleneck"
-                ),
-                signals=signals,
-            )
-        elif (
-            mean_wait < self.shrink_wait_ms
-            and workers > self.min_workers
-        ):
-            self._resize(
-                t,
-                workers - 1,
-                reason=(
-                    f"merge waited only {mean_wait:.3f} ms/task "
-                    f"(< {self.shrink_wait_ms} ms) while "
-                    f"{d_tasks:.0f} task(s) flowed: pool is oversized"
-                ),
-                signals=signals,
-            )
-
-    def _resize(
-        self, t: int, new: int, reason: str, signals: dict[str, float]
-    ) -> None:
-        old = self.database.workers
-        self.database.set_workers(new)
-        recorder = obs.get_recorder()
-        if recorder is not None:
-            recorder.counter("control.workers.resizes")
-            recorder.gauge("control.workers.size", new)
-        self._emit(t, "workers", old, new, reason, signals)
-
-
-#: Fill above this is join fan-out (output blocks carry a probe block's
-#: matches, so they can exceed ``block_size``), not saturation.
-_FANOUT_FILL_CAP = 1.05
-
-
-class BlockSizeGovernor(Governor):
-    """Shrink (and re-grow) the block size from observed fill ratios.
-
-    Two shrink signals, one grow signal, all per-tick registry deltas:
-
-    * ``engine.block.low_fill`` counts queries whose *non-tail* blocks
-      ran under 25% full -- mid-stream slack only multi-block queries
-      can show.  ``low_fill_after`` such queries in one interval halve
-      the block size.
-    * ``engine.block.fill`` (tail included) catches the short-query
-      regime low_fill is blind to: when every query fits in a fraction
-      of one block, mean fill sits far below 1 and each query still
-      pays the full block's setup slack.  A sustained interval with
-      mean fill under ``shrink_fill`` (and at least ``min_samples``
-      observations) also halves.
-    * mean fill at or above ``grow_fill`` with no low-fill queries
-      doubles back toward the construction-time size.
-
-    Halving roughly doubles the next interval's fill, so with
-    ``shrink_fill`` well below ``grow_fill`` the loop converges instead
-    of thrashing.  Bounded to [``min_block``, construction-time size];
-    row-mode databases (``block_size=None``) are left alone.
-    """
-
-    name = "block_size"
-
-    def __init__(
-        self,
-        database: "Database",
-        enabled: bool = True,
-        min_block: int = 64,
-        low_fill_after: int = 1,
-        shrink_fill: float = 0.25,
-        grow_fill: float = 0.95,
-        min_samples: int = 2,
-    ):
-        super().__init__(enabled)
-        if min_block < 1:
-            raise ValueError(f"min_block must be >= 1, got {min_block}")
-        if not shrink_fill < grow_fill:
-            raise ValueError(
-                f"need shrink_fill < grow_fill, got "
-                f"{shrink_fill} >= {grow_fill}"
-            )
-        self.database = database
-        self.min_block = min_block
-        self.low_fill_after = low_fill_after
-        self.shrink_fill = shrink_fill
-        self.grow_fill = grow_fill
-        self.min_samples = min_samples
-        #: Never grow past what the database was configured with.
-        self.max_block = database.block_size
-        self._last_low_fill = 0.0
-        self._last_fill_total = 0.0
-        self._last_fill_count = 0
-
-    def tick(self, t: int) -> None:
-        if not self.enabled or self.database.block_size is None:
-            return
-        recorder = obs.get_recorder()
-        if recorder is None:
-            return
-        registry = recorder.registry
-        low = registry.get("engine.block.low_fill")
-        fill = registry.get("engine.block.fill")
-        low_now = float(low.value) if low is not None else 0.0
-        fill_total = float(fill.total) if fill is not None else 0.0
-        fill_count = int(fill.count) if fill is not None else 0
-        d_low = low_now - self._last_low_fill
-        d_fill_total = fill_total - self._last_fill_total
-        d_fill_count = fill_count - self._last_fill_count
-        self._last_low_fill = low_now
-        self._last_fill_total = fill_total
-        self._last_fill_count = fill_count
-        block = self.database.block_size
-        if d_low >= self.low_fill_after and block > self.min_block:
-            self._resize(
-                t,
-                max(self.min_block, block // 2),
-                reason=(
-                    f"{d_low:.0f} low-fill quer{'y' if d_low == 1 else 'ies'} "
-                    f"this interval: block_size={block} wastes most of "
-                    f"each block as slack"
-                ),
-                signals={"low_fill_delta": d_low},
-            )
-            return
-        if d_fill_count < self.min_samples:
-            return
-        mean_fill = d_fill_total / d_fill_count
-        if mean_fill < self.shrink_fill and block > self.min_block:
-            self._resize(
-                t,
-                max(self.min_block, block // 2),
-                reason=(
-                    f"blocks ran only {mean_fill:.0%} full over "
-                    f"{d_fill_count} quer{'y' if d_fill_count == 1 else 'ies'} "
-                    f"(< {self.shrink_fill:.0%}): block_size={block} is "
-                    f"oversized for this workload"
-                ),
-                signals={
-                    "mean_fill": mean_fill,
-                    "fill_samples": float(d_fill_count),
-                },
-            )
-            return
-        if self.max_block is None:
-            return
-        # Join fan-out emits blocks *larger* than block_size (one probe
-        # block's matches stay together), so fill can exceed 1 -- that
-        # signals fan-out, not saturation, and says nothing about slack
-        # at a larger size.  Only a mean inside the near-full band is
-        # evidence the current size is genuinely tight.
-        if (
-            d_low == 0
-            and self.grow_fill <= mean_fill <= _FANOUT_FILL_CAP
-            and block < self.max_block
-        ):
-            self._resize(
-                t,
-                min(self.max_block, block * 2),
-                reason=(
-                    f"blocks ran {mean_fill:.0%} full with no low-fill "
-                    f"queries: room to re-grow toward the configured "
-                    f"size {self.max_block}"
-                ),
-                signals={
-                    "mean_fill": mean_fill,
-                    "fill_samples": float(d_fill_count),
-                },
-            )
-
-    def _resize(
-        self, t: int, new: int, reason: str, signals: dict[str, float]
-    ) -> None:
-        old = self.database.block_size
-        self.database.set_block_size(new)
-        recorder = obs.get_recorder()
-        if recorder is not None:
-            recorder.counter("control.block.resizes")
-            recorder.gauge("control.block.size", new)
-        self._emit(t, "block_size", old, new, reason, signals)

@@ -368,7 +368,11 @@ def find_optimal_lgm_plan(problem: ProblemInstance, use_heuristic: bool = True) 
                     # is exactly where the paper's floor-based Lemma-7
                     # heuristic misfires (see module docstring).  Counted,
                     # never repaired: the separable bound keeps this at 0.
-                    if tentative < g[successor] - 1e-12:
+                    # Relative tolerance: past g ~ 4,500 an absolute 1e-12
+                    # is below one ulp, so summation-order noise would count.
+                    if tentative < g[successor] - 1e-12 * max(
+                        1.0, g[successor]
+                    ):
                         inconsistencies += 1
                     continue
                 known = g.get(successor)

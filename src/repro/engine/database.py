@@ -29,7 +29,7 @@ from repro.obs import attrib
 
 #: Blocked-execution fill ratio below which a query is flagged: the
 #: result cardinality is so far under ``block_size`` that most of each
-#: block is slack (groundwork for adaptive block sizing, see ROADMAP).
+#: block is slack.
 LOW_FILL_THRESHOLD = 0.25
 from repro.engine import parallel as parallel_mod
 from repro.engine.aggregate import Aggregate
@@ -68,11 +68,8 @@ class Database:
     :meth:`close` (or use the database as a context manager) to release
     pool workers deterministically.
 
-    Both knobs are live-resizable between queries: :meth:`set_workers`
-    swaps the pool (the only mutation path -- ``workers`` itself is a
-    read-only property) and :meth:`set_block_size` changes the execution
-    granularity, which is what the adaptive control layer
-    (:mod:`repro.control`) actuates.
+    ``workers`` is fixed at construction (a read-only property).  Neither
+    knob changes simulated costs, only wall-clock time.
     """
 
     def __init__(
@@ -89,8 +86,8 @@ class Database:
         self.block_size = block_size
         # Worker/backend resolution happens exactly once, here.  Mutating
         # REPRO_WORKERS or the process-global default afterwards does NOT
-        # retroactively resize existing databases; set_workers() is the
-        # one mutation path (a stale default is flagged at query time).
+        # retroactively resize existing databases (a stale default is
+        # flagged at query time).
         self._workers = parallel_mod.resolve_workers(workers)
         self._workers_from_default = workers is None
         self.parallel_backend = parallel_mod.resolve_backend(parallel_backend)
@@ -100,55 +97,8 @@ class Database:
 
     @property
     def workers(self) -> int:
-        """The pool size, frozen at ``__init__`` until :meth:`set_workers`."""
+        """The pool size, fixed at ``__init__``."""
         return self._workers
-
-    @workers.setter
-    def workers(self, value) -> None:
-        raise AttributeError(
-            "Database.workers is read-only; call set_workers(n) -- the "
-            "one sanctioned live-resize path (it drains the old pool)"
-        )
-
-    def set_workers(self, workers: int) -> int:
-        """Resize the parallel worker pool; returns the new size.
-
-        The one mutation path for ``workers`` after construction: the
-        current pool (if any) is closed and a pool of the new size is
-        built lazily on the next eligible query, so the swap is safe
-        **between** queries (do not call concurrently with an executing
-        query).  ``0`` returns the database to serial execution.
-        Simulated costs are unaffected at any size (charge-on-merge).
-        """
-        workers = int(workers)
-        if workers < 0:
-            raise ValueError(f"workers must be >= 0, got {workers}")
-        if workers != self._workers:
-            self.close()
-            self._workers = workers
-        # An explicit resize supersedes the construction-time default;
-        # stop comparing against the process-global setting.
-        self._workers_from_default = False
-        return self._workers
-
-    def set_block_size(self, block_size: int | None) -> int | None:
-        """Change the execution block size; returns the new value.
-
-        Safe between queries: ``block_size`` is consulted per query, so
-        the next one simply runs at the new granularity (``None`` falls
-        back to row-at-a-time).  Results and simulated costs are
-        identical at every setting; only wall-clock and per-block slack
-        change.  Resets the one-shot low-fill warning so the new size
-        earns its own diagnosis.
-        """
-        if block_size is not None and block_size < 1:
-            raise ValueError(
-                f"block_size must be >= 1 or None, got {block_size}"
-            )
-        if block_size != self.block_size:
-            self.block_size = block_size
-            self._low_fill_warned = False
-        return self.block_size
 
     def close(self) -> None:
         """Release the parallel worker pool, if one was started (idempotent)."""
@@ -398,8 +348,8 @@ class Database:
                     f"the process-global worker default changed to "
                     f"{current_default} after this Database resolved "
                     f"workers={self._workers} at construction; existing "
-                    f"databases are never resized implicitly -- call "
-                    f"set_workers({current_default}) to adopt it",
+                    f"databases are never resized implicitly -- construct "
+                    f"a new Database to adopt it",
                     RuntimeWarning,
                     stacklevel=3,
                 )

@@ -1,15 +1,16 @@
 """Per-view maintenance ledger: who spent what, when, and on which view.
 
-The maintenance log (:class:`repro.ivm.maintainer.MaintenanceLog`) records
-*decisions* -- arrivals, actions, predicted vs. actual cost.  The ledger
-recorded here answers the complementary accounting question: for each
-view, per maintenance round, where did the simulated cost actually go --
-how much of it was join work (index probes / hash build+probe), how much
-aggregate upkeep, how many modifications were flushed, and what backlog
-was left behind.
+The ledger is the one record of each maintenance round
+(:class:`RoundEntry`, also what
+:meth:`~repro.ivm.maintainer.ViewMaintainer.step` returns): the
+*decision* -- arrivals, pre-action state, action, predicted vs. actual
+cost -- and the accounting behind it: where the simulated cost went
+(join work -- index probes / hash build+probe -- versus aggregate
+upkeep), how many modifications were flushed, and what backlog was left
+behind.
 
-Ledgers are always on (like the log): entries are tiny fixed-size records
-appended once per round, so there is nothing to toggle.  Metric export
+Ledgers are always on: entries are tiny fixed-size records appended once
+per round, so there is nothing to toggle.  Metric export
 (``ivm.view.*``) stays gated on an installed recorder as usual.
 """
 

@@ -16,15 +16,15 @@ Usage sketch::
     maintainer.refresh(final=True)  # forced view refresh
 
 The maintainer enforces the response-time constraint with the *calibrated*
-cost functions (the planner's world model); the log records both the
-predicted cost of every action and the engine-measured actual cost, so
-their divergence is observable (Figure 5 plots it).
+cost functions (the planner's world model); its ledger
+(:class:`~repro.ivm.ledger.ViewLedger`) records both the predicted cost of
+every action and the engine-measured actual cost, so their divergence is
+observable (Figure 5 plots it).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro import obs
@@ -35,45 +35,6 @@ from repro.core.policies import Policy, PolicyError
 from repro.ivm.ledger import RoundEntry, ViewLedger
 from repro.ivm.maintenance import apply_batch, full_refresh
 from repro.ivm.view import MaterializedView
-
-
-@dataclass
-class StepRecord:
-    """What happened at one time step."""
-
-    t: int
-    arrivals: tuple[int, ...]
-    pre_state: tuple[int, ...]
-    action: tuple[int, ...]
-    predicted_cost: float
-    actual_cost_ms: float
-
-
-@dataclass
-class MaintenanceLog:
-    """The full run record: per-step entries plus summary statistics."""
-
-    aliases: tuple[str, ...]
-    steps: list[StepRecord] = field(default_factory=list)
-
-    @property
-    def total_predicted_cost(self) -> float:
-        """Sum of cost-function-predicted action costs (simulation view)."""
-        return sum(s.predicted_cost for s in self.steps)
-
-    @property
-    def total_actual_cost_ms(self) -> float:
-        """Sum of engine-measured action costs (live-system view)."""
-        return sum(s.actual_cost_ms for s in self.steps)
-
-    @property
-    def action_count(self) -> int:
-        """Number of steps with a non-zero action."""
-        return sum(1 for s in self.steps if any(s.action))
-
-    def actions_plan(self) -> list[tuple[int, ...]]:
-        """The executed action sequence (comparable to a core ``Plan``)."""
-        return [s.action for s in self.steps]
 
 
 class ViewMaintainer:
@@ -114,7 +75,6 @@ class ViewMaintainer:
         self.policy = policy
         self.verify = verify
         self.policy.reset(self.cost_functions, self.limit)
-        self.log = MaintenanceLog(aliases=self.aliases)
         self.ledger = ViewLedger(view=view.name, aliases=self.aliases)
         self._clock = -1
 
@@ -145,7 +105,7 @@ class ViewMaintainer:
             f(k) for f, k in zip(self.cost_functions, state, strict=True)
         )
 
-    def step(self, t: int | None = None) -> StepRecord:
+    def step(self, t: int | None = None) -> RoundEntry:
         """Run one time step: ingest new modifications, consult the policy.
 
         Call after applying the step's base-table modifications.  Raises
@@ -154,7 +114,7 @@ class ViewMaintainer:
         """
         return self.execute_planned(*self.plan_step(t))
 
-    def refresh(self, t: int | None = None) -> StepRecord:
+    def refresh(self, t: int | None = None) -> RoundEntry:
         """Force the view up to date (the paper's refresh request)."""
         return self.execute_planned(*self.plan_refresh(t), forced=True)
 
@@ -209,8 +169,11 @@ class ViewMaintainer:
         action: tuple[int, ...],
         forced: bool = False,
         shared=None,
-    ) -> StepRecord:
+    ) -> RoundEntry:
         """Execute one planned round (the second half of :meth:`step`).
+
+        Returns the round's :class:`~repro.ivm.ledger.RoundEntry`, the
+        record the ledger keeps.
 
         ``shared`` is an already-run
         :class:`~repro.ivm.sharedscan.SharedScanRound` covering this
@@ -252,53 +215,69 @@ class ViewMaintainer:
                 source=f"ivm:{self.view.name}",
             )
         predicted = self.predicted_refresh_cost(action)
-        counter = self.view.database.counter
-        if not any(action):
+        if any(action):
+            sim_ms, wall_ms, charges, flush_actual = self._flush(
+                t, action, forced, shared, recorder
+            )
+        else:
             # Zero-work round: nothing to flush, so skip the cost window,
             # wall timer, attribution context, and span machinery -- at
             # fleet scale most rounds are idle and this path is what keeps
             # them cheap.  The ledger entry and per-view metric series are
             # still emitted (with zero values) so observability stays
             # gap-free.
-            entry = RoundEntry(
-                t=t,
-                arrivals=arrivals,
-                pre_state=pre,
-                action=action,
-                forced=forced,
-                predicted_ms=predicted,
-                sim_ms=0.0,
-                wall_ms=0.0,
-                backlog=sum(post),
-                charges={},
+            sim_ms, wall_ms, charges, flush_actual = 0.0, 0.0, {}, {}
+            if recorder is not None and not any(pre):
+                recorder.counter("ivm.skip.empty")
+        entry = RoundEntry(
+            t=t,
+            arrivals=arrivals,
+            pre_state=pre,
+            action=action,
+            forced=forced,
+            predicted_ms=predicted,
+            sim_ms=sim_ms,
+            wall_ms=wall_ms,
+            backlog=sum(post),
+            charges=charges,
+        )
+        self.ledger.record(entry)
+        if recorder is not None:
+            vid = self.ledger.metric_id
+            recorder.counter(f"ivm.view.{vid}.rounds")
+            recorder.counter(f"ivm.view.{vid}.flushes", entry.flushes)
+            recorder.counter(f"ivm.view.{vid}.mods_applied", entry.mods_applied)
+            recorder.counter(f"ivm.view.{vid}.cost_ms", sim_ms)
+            recorder.gauge(f"ivm.view.{vid}.backlog", entry.backlog)
+            recorder.observe(f"ivm.view.{vid}.round_ms", sim_ms)
+        self.policy.record_action(t, action, predicted)
+        log = decisions.get_decision_log()
+        if log is not None:
+            log.join(
+                self.view.name, t,
+                actual_ms=sim_ms,
+                table_ms=flush_actual,
+                charges=charges,
             )
-            self.ledger.record(entry)
-            if recorder is not None:
-                vid = self.ledger.metric_id
-                recorder.counter(f"ivm.view.{vid}.rounds")
-                recorder.counter(f"ivm.view.{vid}.flushes", 0)
-                recorder.counter(f"ivm.view.{vid}.mods_applied", 0)
-                recorder.counter(f"ivm.view.{vid}.cost_ms", 0.0)
-                recorder.gauge(f"ivm.view.{vid}.backlog", entry.backlog)
-                recorder.observe(f"ivm.view.{vid}.round_ms", 0.0)
-                if not any(pre):
-                    recorder.counter("ivm.skip.empty")
-            self.policy.record_action(t, action, predicted)
-            log = decisions.get_decision_log()
-            if log is not None:
-                log.join(self.view.name, t, actual_ms=0.0)
-            record = StepRecord(
-                t=t,
-                arrivals=arrivals,
-                pre_state=pre,
-                action=action,
-                predicted_cost=predicted,
-                actual_cost_ms=0.0,
-            )
-            self.log.steps.append(record)
-            if self.verify:
-                self._verify_consistency()
-            return record
+        if self.verify:
+            self._verify_consistency()
+        return entry
+
+    def _flush(
+        self,
+        t: int,
+        action: tuple[int, ...],
+        forced: bool,
+        shared,
+        recorder,
+    ) -> tuple[float, float, dict[str, int], dict[str, float]]:
+        """Apply one round's per-alias batches under a cost window.
+
+        Returns ``(sim_ms, wall_ms, charges, flush_actual)``: the round's
+        simulated cost, its wall time, the non-zero counter-field deltas,
+        and the per-alias simulated cost of each instrumented flush.
+        """
+        counter = self.view.database.counter
         charges_before = counter.snapshot()
         calibrating = obs_calibration.enabled()
         flush_actual: dict[str, float] = {}
@@ -351,52 +330,12 @@ class ViewMaintainer:
                         )
         wall_ms = (time.perf_counter() - wall_start) * 1e3
         charges_after = counter.snapshot()
-        entry = RoundEntry(
-            t=t,
-            arrivals=arrivals,
-            pre_state=pre,
-            action=action,
-            forced=forced,
-            predicted_ms=predicted,
-            sim_ms=window.elapsed_ms,
-            wall_ms=wall_ms,
-            backlog=sum(post),
-            charges={
-                f: charges_after[f] - charges_before[f]
-                for f in charges_after
-                if charges_after[f] != charges_before[f]
-            },
-        )
-        self.ledger.record(entry)
-        if recorder is not None:
-            vid = self.ledger.metric_id
-            recorder.counter(f"ivm.view.{vid}.rounds")
-            recorder.counter(f"ivm.view.{vid}.flushes", entry.flushes)
-            recorder.counter(f"ivm.view.{vid}.mods_applied", entry.mods_applied)
-            recorder.counter(f"ivm.view.{vid}.cost_ms", window.elapsed_ms)
-            recorder.gauge(f"ivm.view.{vid}.backlog", entry.backlog)
-            recorder.observe(f"ivm.view.{vid}.round_ms", window.elapsed_ms)
-        self.policy.record_action(t, action, predicted)
-        log = decisions.get_decision_log()
-        if log is not None:
-            log.join(
-                self.view.name, t,
-                actual_ms=window.elapsed_ms,
-                table_ms=flush_actual,
-                charges=dict(entry.charges),
-            )
-        record = StepRecord(
-            t=t,
-            arrivals=arrivals,
-            pre_state=pre,
-            action=action,
-            predicted_cost=predicted,
-            actual_cost_ms=window.elapsed_ms,
-        )
-        self.log.steps.append(record)
-        if self.verify:
-            self._verify_consistency()
-        return record
+        charges = {
+            f: charges_after[f] - charges_before[f]
+            for f in charges_after
+            if charges_after[f] != charges_before[f]
+        }
+        return window.elapsed_ms, wall_ms, charges, flush_actual
 
     def _verify_consistency(self) -> None:
         expected = self.view.recompute()

@@ -41,9 +41,9 @@ from repro.core.costfuncs import CostFunction
 from repro.core.policies import Policy
 from repro.engine.database import Database
 from repro.engine.query import QuerySpec
-from repro.ivm.ledger import DEFAULT_SUMMARY_LIMIT, ViewLedger
+from repro.ivm.ledger import DEFAULT_SUMMARY_LIMIT, RoundEntry, ViewLedger
 from repro.ivm.ledger import ledger_summary as _render_ledger_summary
-from repro.ivm.maintainer import StepRecord, ViewMaintainer
+from repro.ivm.maintainer import ViewMaintainer
 from repro.ivm.sharedscan import SharedScanRound
 from repro.ivm.view import MaterializedView
 
@@ -131,7 +131,7 @@ class MaintenanceCoordinator:
 
     def step(
         self, t: int | None = None, shared: bool | None = None
-    ) -> dict[str, StepRecord]:
+    ) -> dict[str, RoundEntry]:
         """Advance every view one time step; returns per-view records.
 
         Call after applying the step's base-table modifications.  With
@@ -156,7 +156,7 @@ class MaintenanceCoordinator:
         names: Sequence[str] | None = None,
         t: int | None = None,
         shared: bool | None = None,
-    ) -> dict[str, StepRecord]:
+    ) -> dict[str, RoundEntry]:
         """Force the named views (default: all) fully up to date."""
         self._clock = self._clock + 1 if t is None else t
         targets = tuple(names) if names is not None else self.views
@@ -173,7 +173,7 @@ class MaintenanceCoordinator:
 
     def _execute_shared(
         self, plans: dict, forced: bool
-    ) -> dict[str, StepRecord]:
+    ) -> dict[str, RoundEntry]:
         """Run one table-at-a-time round over already-planned views.
 
         The shared scan's own cost (one blocked pass per table, plus any
@@ -222,13 +222,13 @@ class MaintenanceCoordinator:
     def total_cost_ms(self) -> float:
         """Engine-measured maintenance cost summed over all views."""
         return sum(
-            m.log.total_actual_cost_ms for m in self._maintainers.values()
+            m.ledger.total_sim_ms for m in self._maintainers.values()
         )
 
     def cost_breakdown(self) -> dict[str, float]:
         """Per-view engine-measured maintenance cost."""
         return {
-            name: m.log.total_actual_cost_ms
+            name: m.ledger.total_sim_ms
             for name, m in self._maintainers.items()
         }
 

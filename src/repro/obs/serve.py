@@ -30,9 +30,9 @@ exit summary.  :class:`MetricsServer` wraps an
     installs), so the CLI's serve-then-run ordering works without
     wiring.  404 when neither exists.
 ``/control``
-    The adaptive runtime's control trail as JSON (``?governor=``,
-    ``?view=``, ``?limit=`` filters) -- every actuation the governors
-    made, with its reason and signal values.  Backed by a ``control``
+    The adaptive runtime's control trail as JSON (``?view=`` and
+    ``?limit=`` filters) -- every policy switch the governor made, with
+    its reason and signal values.  Backed by a ``control``
     provider callable when one is attached; otherwise served from the
     process-global :class:`~repro.control.events.ControlLog` (the one
     ``--control-log`` installs).  404 when neither exists.
@@ -235,7 +235,6 @@ class _Handler(BaseHTTPRequestHandler):
             if limit < 0:
                 self._reply_json(400, {"error": "limit must be non-negative"})
                 return
-            governor = query.get("governor", [None])[0]
             view = query.get("view", [None])[0]
             provider = self.server.control_provider
             if provider is not None:
@@ -256,10 +255,7 @@ class _Handler(BaseHTTPRequestHandler):
                 e.to_dict() if hasattr(e, "to_dict") else e for e in raw
             ]
             events = [
-                e
-                for e in events
-                if (governor is None or e.get("governor") == governor)
-                and (view is None or e.get("view") == view)
+                e for e in events if view is None or e.get("view") == view
             ]
             total = len(events)
             if limit:

@@ -126,7 +126,7 @@ class PubSubBroker:
                 # callbacks (these run even without a recorder installed).
                 slo.observe_refresh(
                     subscription.limit,
-                    record.predicted_cost,
+                    record.predicted_ms,
                     t=t,
                     source=f"pubsub:{subscription.name}",
                 )
@@ -136,9 +136,9 @@ class PubSubBroker:
                     t=t,
                     old_result=registration.last_result,
                     new_result=new_result,
-                    refresh_cost_ms=record.actual_cost_ms,
+                    refresh_cost_ms=record.sim_ms,
                     within_guarantee=(
-                        record.predicted_cost <= subscription.limit + 1e-9
+                        record.predicted_ms <= subscription.limit + 1e-9
                     ),
                 )
                 registration.last_result = new_result
@@ -173,7 +173,7 @@ class PubSubBroker:
 
     def maintenance_cost_ms(self, name: str) -> float:
         """Total engine-measured maintenance cost spent on a subscription."""
-        return self._registration(name).maintainer.log.total_actual_cost_ms
+        return self._registration(name).maintainer.ledger.total_sim_ms
 
     def guarantee_violations(self, name: str) -> int:
         """Notifications whose refresh exceeded the QoS guarantee."""

@@ -48,9 +48,11 @@ def make_paper_spec() -> QuerySpec:
     )
 
 
-def make_tpcr_db(scale: float = TEST_SCALE, seed: int = 42) -> Database:
+def make_tpcr_db(
+    scale: float = TEST_SCALE, seed: int = 42, workers: int | None = None
+) -> Database:
     """A freshly loaded TPC-R database with the paper's physical design."""
-    db = Database()
+    db = Database(workers=workers)
     load_tpcr(db, scale=scale, seed=seed)
     db.table("supplier").create_index("suppkey")
     db.table("nation").create_index("nationkey")

@@ -69,12 +69,12 @@ class TestControlLog:
 
     def test_filtered(self):
         log = ControlLog()
-        log.record(_event(governor="policy", view="a"))
-        log.record(_event(governor="workers", view=None))
-        log.record(_event(governor="policy", view="b"))
-        assert len(log.filtered(governor="policy")) == 2
+        log.record(_event(view="a"))
+        log.record(_event(view=None))
+        log.record(_event(view="b"))
+        assert len(log.filtered()) == 3
         assert len(log.filtered(view="b")) == 1
-        assert len(log.filtered(governor="workers", view="b")) == 0
+        assert len(log.filtered(view="zzz")) == 0
 
 
 class TestGlobalSink:
@@ -109,8 +109,8 @@ class TestRender:
         assert render_control_log([]) == "control log: no events"
 
     def test_empty_with_filters_names_scope(self):
-        out = render_control_log([_event()], governor="workers")
-        assert out == "control log: no events matching governor=workers"
+        out = render_control_log([_event()], view="other")
+        assert out == "control log: no events matching view=other"
 
     def test_tree_shape(self):
         out = render_control_log([_event()])
@@ -127,10 +127,7 @@ class TestRender:
         assert "applied: no" in out
 
     def test_filters(self):
-        events = [
-            _event(governor="policy", view="a"),
-            _event(governor="block_size", view=None, t=9),
-        ]
-        out = render_control_log(events, governor="block_size")
-        assert "t=9 block_size" in out
+        events = [_event(view="a"), _event(view="b", t=9)]
+        out = render_control_log(events, view="b")
+        assert "t=9 policy view=b" in out
         assert "view=a" not in out

@@ -1,4 +1,4 @@
-"""Governor unit tests: synthetic signals in, bounded actuations out."""
+"""Policy-governor unit tests: synthetic signals in, policy switches out."""
 
 import pytest
 
@@ -8,9 +8,7 @@ from repro.control.governors import (
     NAIVE,
     ONLINE,
     RECEDING,
-    BlockSizeGovernor,
     PolicyGovernor,
-    WorkerGovernor,
     _mode_of,
 )
 from repro.core.naive import NaivePolicy
@@ -36,24 +34,6 @@ class FakeCoordinator:
 
     def maintainer(self, name):
         return self._maintainers[name]
-
-
-class FakeDatabase:
-    def __init__(self, workers=1, block_size=None):
-        self._workers = workers
-        self.block_size = block_size
-
-    @property
-    def workers(self):
-        return self._workers
-
-    def set_workers(self, workers):
-        self._workers = int(workers)
-        return self._workers
-
-    def set_block_size(self, block_size):
-        self.block_size = block_size
-        return self.block_size
 
 
 class TestModeOf:
@@ -177,18 +157,36 @@ class TestPolicyGovernor:
             governor.detach()
         assert isinstance(maintainer.policy, NaivePolicy)
 
-    def test_disabled_never_attaches_or_acts(self):
-        maintainer = FakeMaintainer(OnlinePolicy())
-        governor = PolicyGovernor(
-            FakeCoordinator(paper=maintainer), enabled=False, escalate_after=1
-        )
+    def test_attach_is_idempotent(self):
+        governor = PolicyGovernor(FakeCoordinator())
+        governor.attach()
         governor.attach()
         try:
-            slo.observe_refresh(10.0, 12.0, t=1, source="ivm:paper")
-            governor.tick(2)
+            assert slo.hub_active()
         finally:
             governor.detach()
-        assert isinstance(maintainer.policy, OnlinePolicy)
+        # One detach removed the one subscription: nothing is left.
+        assert not slo.hub_active()
+
+    def test_detach_is_idempotent_and_safe_unattached(self):
+        governor = PolicyGovernor(FakeCoordinator())
+        governor.detach()  # never attached: no-op
+        governor.attach()
+        governor.detach()
+        governor.detach()
+        assert not slo.hub_active()
+
+    def test_context_manager_attaches_and_detaches(self):
+        maintainer = FakeMaintainer(OnlinePolicy())
+        with PolicyGovernor(
+            FakeCoordinator(paper=maintainer), escalate_after=1
+        ) as governor:
+            assert slo.hub_active()
+            slo.observe_refresh(10.0, 12.0, t=1, source="ivm:paper")
+            with control_events.collecting():
+                governor.tick(2)
+        assert not slo.hub_active()
+        assert isinstance(maintainer.policy, NaivePolicy)
 
     def test_counts_switches_metric(self):
         maintainer = FakeMaintainer(OnlinePolicy())
@@ -205,166 +203,3 @@ class TestPolicyGovernor:
             PolicyGovernor(FakeCoordinator(), escalate_after=0)
         with pytest.raises(ValueError):
             PolicyGovernor(FakeCoordinator(), window=0)
-
-
-class TestWorkerGovernor:
-    def test_grows_on_merge_wait(self):
-        db = FakeDatabase(workers=2)
-        governor = WorkerGovernor(db, max_workers=4, grow_wait_ms=1.0)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.counter("engine.parallel.tasks", 8)
-            for _ in range(4):
-                rec.observe("engine.parallel.merge_wait_ms", 3.0)
-            rec.gauge_max("engine.parallel.queue_depth", 7)
-            governor.tick(1)
-        assert db.workers == 3
-        (event,) = log.events()
-        assert (event.old, event.new) == (2, 3)
-        assert event.signals["merge_wait_ms_mean"] == 3.0
-        assert event.signals["queue_depth_peak"] == 7.0
-        assert rec.registry.get("control.workers.resizes").value == 1
-        assert rec.registry.get("control.workers.size").value == 3
-
-    def test_shrinks_when_pool_idles(self):
-        db = FakeDatabase(workers=3)
-        governor = WorkerGovernor(db, min_workers=1, shrink_wait_ms=0.05)
-        with obs.recording() as rec, control_events.collecting():
-            rec.counter("engine.parallel.tasks", 10)
-            rec.observe("engine.parallel.merge_wait_ms", 0.0)
-            governor.tick(1)
-        assert db.workers == 2
-
-    def test_holds_without_task_flow(self):
-        db = FakeDatabase(workers=3)
-        governor = WorkerGovernor(db)
-        with obs.recording(), control_events.collecting() as log:
-            governor.tick(1)  # no metrics at all this interval
-        assert db.workers == 3
-        assert not log.events()
-
-    def test_holds_without_recorder(self):
-        db = FakeDatabase(workers=3)
-        governor = WorkerGovernor(db)
-        governor.tick(1)
-        assert db.workers == 3
-
-    def test_bounded_at_max(self):
-        db = FakeDatabase(workers=4)
-        governor = WorkerGovernor(db, max_workers=4, grow_wait_ms=1.0)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.counter("engine.parallel.tasks", 4)
-            rec.observe("engine.parallel.merge_wait_ms", 9.0)
-            governor.tick(1)
-        assert db.workers == 4
-        assert not log.events()
-
-    def test_deltas_reset_between_ticks(self):
-        db = FakeDatabase(workers=2)
-        governor = WorkerGovernor(db, grow_wait_ms=1.0, shrink_wait_ms=0.05)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.counter("engine.parallel.tasks", 4)
-            rec.observe("engine.parallel.merge_wait_ms", 5.0)
-            governor.tick(1)
-            assert db.workers == 3
-            governor.tick(2)  # no new tasks: same totals, zero delta
-        assert db.workers == 3
-        assert len(log.events()) == 1
-
-    def test_validates_bounds(self):
-        with pytest.raises(ValueError):
-            WorkerGovernor(FakeDatabase(), min_workers=3, max_workers=2)
-        with pytest.raises(ValueError):
-            WorkerGovernor(FakeDatabase(), min_workers=-1)
-
-
-class TestBlockSizeGovernor:
-    def test_halves_on_low_mean_fill(self):
-        db = FakeDatabase(block_size=2048)
-        governor = BlockSizeGovernor(db, min_block=64)
-        with obs.recording() as rec, control_events.collecting() as log:
-            for _ in range(3):
-                rec.observe("engine.block.fill", 0.1)
-            governor.tick(1)
-        assert db.block_size == 1024
-        (event,) = log.events()
-        assert (event.old, event.new) == (2048, 1024)
-        assert rec.registry.get("control.block.resizes").value == 1
-        assert rec.registry.get("control.block.size").value == 1024
-
-    def test_halves_on_low_fill_counter(self):
-        db = FakeDatabase(block_size=512)
-        governor = BlockSizeGovernor(db, low_fill_after=1)
-        with obs.recording() as rec, control_events.collecting():
-            rec.counter("engine.block.low_fill")
-            governor.tick(1)
-        assert db.block_size == 256
-
-    def test_floors_at_min_block(self):
-        db = FakeDatabase(block_size=96)
-        governor = BlockSizeGovernor(db, min_block=64)
-        with obs.recording() as rec, control_events.collecting():
-            rec.observe("engine.block.fill", 0.05)
-            rec.observe("engine.block.fill", 0.05)
-            governor.tick(1)
-        assert db.block_size == 64
-
-    def test_regrows_in_near_full_band(self):
-        db = FakeDatabase(block_size=2048)
-        governor = BlockSizeGovernor(db)
-        db.block_size = 512  # shrunk since construction
-        with obs.recording() as rec, control_events.collecting():
-            rec.observe("engine.block.fill", 0.97)
-            rec.observe("engine.block.fill", 0.99)
-            governor.tick(1)
-        assert db.block_size == 1024
-
-    def test_fanout_fill_above_band_does_not_grow(self):
-        # Join fan-out can push per-query fill far past 1; that is not
-        # evidence the current block size is tight.
-        db = FakeDatabase(block_size=2048)
-        governor = BlockSizeGovernor(db)
-        db.block_size = 512
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.observe("engine.block.fill", 8.0)
-            rec.observe("engine.block.fill", 6.0)
-            governor.tick(1)
-        assert db.block_size == 512
-        assert not log.events()
-
-    def test_never_grows_past_construction_size(self):
-        db = FakeDatabase(block_size=512)
-        governor = BlockSizeGovernor(db)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.observe("engine.block.fill", 0.99)
-            rec.observe("engine.block.fill", 0.99)
-            governor.tick(1)
-        assert db.block_size == 512
-        assert not log.events()
-
-    def test_min_samples_guard(self):
-        db = FakeDatabase(block_size=2048)
-        governor = BlockSizeGovernor(db, min_samples=2)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.observe("engine.block.fill", 0.05)  # one noisy query
-            governor.tick(1)
-        assert db.block_size == 2048
-        assert not log.events()
-
-    def test_row_mode_left_alone(self):
-        db = FakeDatabase(block_size=None)
-        governor = BlockSizeGovernor(db)
-        with obs.recording() as rec, control_events.collecting() as log:
-            rec.observe("engine.block.fill", 0.05)
-            rec.observe("engine.block.fill", 0.05)
-            governor.tick(1)
-        assert db.block_size is None
-        assert not log.events()
-
-    def test_validates_options(self):
-        with pytest.raises(ValueError):
-            BlockSizeGovernor(FakeDatabase(block_size=64), min_block=0)
-        with pytest.raises(ValueError):
-            BlockSizeGovernor(
-                FakeDatabase(block_size=64),
-                shrink_fill=0.9, grow_fill=0.5,
-            )

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import obs
 from repro.core import astar
 from repro.core.astar import (
     _expand,
@@ -112,3 +113,19 @@ class TestPaperHeuristicInconsistency:
         # The paper's h is admissible-ish here, so the result is at least
         # `exact`; on boundary instances with a closed set it can exceed it.
         assert papers >= exact - 1e-9
+
+    def test_inconsistency_counter_sees_the_floor_form(
+        self, boundary_instance, monkeypatch
+    ):
+        """``astar.heuristic.inconsistency_detected`` must not go blind:
+        the Lemma-7 heuristic trips it on the boundary instance, the
+        separable bound does not."""
+        name = "astar.heuristic.inconsistency_detected"
+        with obs.recording() as rec:
+            find_optimal_lgm_plan(boundary_instance, use_heuristic=True)
+        assert rec.registry.get(name).value == 0
+
+        monkeypatch.setattr(astar, "_heuristic", paper_heuristic)
+        with obs.recording() as rec:
+            find_optimal_lgm_plan(boundary_instance, use_heuristic=True)
+        assert rec.registry.get(name).value > 0

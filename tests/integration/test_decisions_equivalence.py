@@ -52,9 +52,8 @@ def run_fleet(block_size: int, workers: int, traced: bool):
     ``evidence`` is ``None`` untraced; otherwise the (decision log,
     calibration tracker, drift events) the traced leg accumulated.
     """
-    db = make_tpcr_db()
+    db = make_tpcr_db(workers=workers)
     db.block_size = block_size
-    db.set_workers(workers)
 
     def drive():
         coordinator = MaintenanceCoordinator(db)

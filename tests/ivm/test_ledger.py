@@ -203,23 +203,6 @@ class TestMaintainerLedger:
         assert maintainer.ledger.entries[-1].forced
         assert maintainer.ledger.backlog == 0
 
-    def test_ledger_agrees_with_maintenance_log(self):
-        maintainer, ps, sup = self.make_maintainer()
-        for t in range(5):
-            ps.apply(6)
-            sup.apply(1)
-            maintainer.step(t)
-        maintainer.refresh()
-        ledger, log = maintainer.ledger, maintainer.log
-        assert ledger.total_sim_ms == pytest.approx(log.total_actual_cost_ms)
-        assert ledger.total_mods == sum(sum(s.action) for s in log.steps)
-        for entry, step in zip(ledger.entries, log.steps, strict=True):
-            assert entry.t == step.t
-            assert entry.action == step.action
-            assert entry.pre_state == step.pre_state
-            assert entry.sim_ms == pytest.approx(step.actual_cost_ms)
-            assert entry.wall_ms >= 0
-
     def test_round_charges_weigh_up_to_round_cost(self):
         """Per-round charge deltas priced under the model reproduce the
         round's simulated cost exactly -- the ledger loses nothing."""

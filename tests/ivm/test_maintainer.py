@@ -55,18 +55,19 @@ class TestStepAndRefresh:
         maintainer, ps, sup = make_maintainer(NaivePolicy())
         for t in range(5):
             ps.apply(2)
-            maintainer.step(t)
-        assert len(maintainer.log.steps) == 5
-        assert maintainer.log.steps[0].arrivals == (2, 0)
-        assert maintainer.log.total_actual_cost_ms >= 0.0
+            record = maintainer.step(t)
+            assert record is maintainer.ledger.entries[-1]
+        assert maintainer.ledger.rounds == 5
+        assert maintainer.ledger.entries[0].arrivals == (2, 0)
+        assert maintainer.ledger.total_sim_ms >= 0.0
 
     def test_predicted_cost_uses_calibrated_functions(self):
         maintainer, ps, sup = make_maintainer(NaivePolicy())
         sup.apply(60)  # f_S(60) = 120 + 600 = 720 > C: forced flush
         record = maintainer.step(0)
         assert record.action == (0, 60)
-        assert record.predicted_cost == pytest.approx(720.0)
-        assert record.actual_cost_ms > 0.0
+        assert record.predicted_ms == pytest.approx(720.0)
+        assert record.sim_ms > 0.0
 
     def test_clock_auto_increments(self):
         maintainer, ps, sup = make_maintainer(NaivePolicy())
@@ -90,9 +91,9 @@ class TestStepAndRefresh:
             ps.apply(1)
             maintainer.step(t)
         maintainer.refresh()
-        assert maintainer.log.action_count == 1  # only the final refresh
-        plan = maintainer.log.actions_plan()
+        plan = [e.action for e in maintainer.ledger.entries]
         assert len(plan) == 5
+        assert sum(1 for a in plan if any(a)) == 1  # only the final refresh
 
 
 class TestPolicyViolations:
@@ -159,5 +160,5 @@ class TestReplayThroughMaintainer:
             maintainer.step(t)
         maintainer.refresh(4)
         assert maintainer.view.contents() == maintainer.view.recompute()
-        executed = maintainer.log.actions_plan()
+        executed = [e.action for e in maintainer.ledger.entries]
         assert executed[2] == (6, 2)

@@ -70,9 +70,8 @@ def run_fleet(
 ) -> tuple[dict, float]:
     """Maintain ``specs`` over a fresh seeded TPC-R db; returns
     (per-view contents, total simulated maintenance cost in ms)."""
-    db = make_tpcr_db()
+    db = make_tpcr_db(workers=workers)
     db.block_size = block_size
-    db.set_workers(workers)
     coordinator = MaintenanceCoordinator(db, shared_scans=shared)
     for name, spec in specs.items():
         policy, limit = make_policy(policy_kind)

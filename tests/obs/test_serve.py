@@ -285,18 +285,14 @@ class TestControlRoute:
         }
         assert "view" not in payload["control"][1]  # omitted when None
 
-    def test_governor_view_and_limit_filters(self):
+    def test_view_and_limit_filters(self):
         events = self._make_events()
         server = MetricsServer(obs.Recorder(), port=0, control=lambda: events)
         with server:
-            _, _, body = _get(server.url + "/control?governor=policy")
-            by_governor = json.loads(body)
             _, _, body = _get(server.url + "/control?view=a")
             by_view = json.loads(body)
             _, _, body = _get(server.url + "/control?limit=1")
             capped = json.loads(body)
-        assert by_governor["total"] == 2
-        assert all(e["governor"] == "policy" for e in by_governor["control"])
         assert by_view["total"] == 1
         assert by_view["control"][0]["t"] == 3
         assert capped["total"] == 3  # total counts matches, not the cap
