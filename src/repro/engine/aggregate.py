@@ -96,6 +96,15 @@ class AggregateState(ABC):
     def count(self) -> int:
         """Number of values currently folded in."""
 
+    @abstractmethod
+    def tallies(self) -> tuple:
+        """The state's complete bookkeeping, for consistency checks.
+
+        Two states of one aggregate hold the same values exactly when
+        their tallies are equal -- including what :meth:`result` does not
+        show, such as a MIN's surviving non-minimal copies.
+        """
+
     def is_empty(self) -> bool:
         """True when no values remain in the group."""
         return self.count == 0
@@ -132,6 +141,9 @@ class CountState(AggregateState):
     @property
     def count(self) -> int:
         return self._count
+
+    def tallies(self) -> tuple:
+        return (self._count,)
 
 
 class SumState(AggregateState):
@@ -175,6 +187,9 @@ class SumState(AggregateState):
     @property
     def count(self) -> int:
         return self._count
+
+    def tallies(self) -> tuple:
+        return (self._count, self._sum)
 
 
 class AvgState(SumState):
@@ -267,6 +282,9 @@ class _ExtremumState(AggregateState):
     @property
     def count(self) -> int:
         return self._count
+
+    def tallies(self) -> tuple:
+        return (self._count, self._multiset, self._extremum)
 
 
 class MinState(_ExtremumState):

@@ -95,6 +95,20 @@ class SeqScan(Operator):
             )
         return rows
 
+    def charge_drain(self) -> int:
+        """Charge what draining this scan would, without producing rows.
+
+        The page reads, scan counters and ``tuple_cpu`` of one full pass
+        (row or blocked: both total the same); returns the row count.
+        For a consumer that reads the snapshot's rows directly, or reuses
+        what an earlier consumer derived from them, as a hash join does.
+        """
+        rows = self._charge_scan_setup()
+        self.counter.charge("tuple_cpu", rows)
+        if self._prof is not None and rows:
+            self._prof.add("tuple_cpu", rows)
+        return rows
+
     def __iter__(self) -> Iterator[tuple]:
         self._charge_scan_setup()
         for row in self.snapshot.rows():

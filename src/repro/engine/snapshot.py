@@ -1,29 +1,63 @@
 """Point-in-time reads over versioned tables.
 
 A :class:`Snapshot` is a lightweight view of a table *as of* a particular
-LSN.  It does not copy data; it filters row versions by visibility.  All
+LSN.  Its row list is derived on first use from the table's live set and
+kill log (see :mod:`repro.engine.table`), at a cost proportional to the
+live rows plus the modifications between the snapshot's LSN and the head
+-- in either direction, for a lagging reader as for a current one.  All
 physical operators read through snapshots, which is what lets incremental
 view maintenance join a delta batch against base tables at exactly the
 state the view has incorporated (see :mod:`repro.engine.table` for why).
+
+A snapshot also caches what its readers derive from it: index-probe
+results and, per key column, the hash table a :class:`~repro.engine.join.HashJoin`
+builds over a bare scan of it.  Both are pure functions of the (fixed)
+visible rows, so the table hands one shared snapshot to every reader at
+the same LSN.
 """
 
 from __future__ import annotations
 
+import weakref
+from bisect import bisect_left, bisect_right
+from itertools import islice
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Hashable, Iterator
+
+from repro import obs
+from repro.engine.errors import ExecutionError
 
 if TYPE_CHECKING:  # circular import guard; Table imports Snapshot
     from repro.engine.table import Table
+
+_XMIN = attrgetter("xmin")
 
 
 class Snapshot:
     """A read-only view of ``table`` at modification LSN ``lsn``."""
 
     def __init__(self, table: "Table", lsn: int):
-        self.table = table
+        # Weak: the table keeps its most recent snapshot, and a strong
+        # reference back would make every table a cycle that outlives its
+        # last user until the cyclic garbage collector runs.
+        self._table = weakref.ref(table)
         self.lsn = lsn
         self._count: int | None = None
         self._visible: list[tuple] | None = None
         self._lookup_cache: dict[tuple, list[tuple]] = {}
+        #: key position -> hash table built over a bare scan of this
+        #: snapshot (see :class:`~repro.engine.join.HashJoin`).
+        self.hash_builds: dict[int, dict] = {}
+
+    @property
+    def table(self) -> "Table":
+        """The table this snapshot reads."""
+        table = self._table()
+        if table is None:
+            raise ExecutionError(
+                f"snapshot at LSN {self.lsn}: its table no longer exists"
+            )
+        return table
 
     @property
     def schema(self):
@@ -41,24 +75,53 @@ class Snapshot:
         return iter(self.row_list())
 
     def row_list(self) -> list[tuple]:
-        """All visible rows, materialized once and cached.
+        """All visible rows in rid order, materialized once and cached.
+
+        Derived from the table's write-maintained state rather than a pass
+        over every stored version: the versions created after this LSN
+        are a rid suffix (rids grow with creation), so the live rows below
+        that suffix are a prefix of the live set; the versions killed
+        after this LSN are a suffix of the kill log, and those created at
+        or before it are merged back in rid order.  Versions examined:
+        live rows + modifications since this LSN, reported as
+        ``engine.snapshot.versions_examined``.
 
         The visibility predicate at a fixed LSN is immutable even as the
         table keeps mutating (later inserts have ``xmin > lsn``; later
-        deletes set ``xmax > lsn``, leaving visibility here unchanged), so
-        one pass over the versions serves every reader of this snapshot.
-        This is the per-block amortization of the chunked pipeline: a scan
-        checks visibility once per version total, not once per version per
-        downstream pull.  Callers must not mutate the returned list.
+        deletes set ``xmax > lsn``), so the result serves every reader of
+        this snapshot.  Callers must not mutate the returned list.
         """
         if self._visible is None:
             lsn = self.lsn
-            self._visible = [
-                v.values
-                for v in self.table._versions
-                if v.xmin <= lsn and (v.xmax is None or v.xmax > lsn)
-            ]
-            self._count = len(self._visible)
+            table = self.table
+            versions = table._versions
+            live = table._live
+            killed = table._killed
+            cut = bisect_right(versions, lsn, key=_XMIN)
+            created_after = versions[cut:]
+            keep = len(live) - sum(1 for v in created_after if v.xmax is None)
+            rows = list(islice(live.values(), keep))
+            start = bisect_right(
+                killed, lsn, key=lambda rid: versions[rid].xmax
+            )
+            restored = sorted(rid for rid in killed[start:] if rid < cut)
+            if restored:
+                rids = list(islice(live, keep))
+                merged: list[tuple] = []
+                pos = 0
+                for rid in restored:
+                    at = bisect_left(rids, rid, pos)
+                    merged += rows[pos:at]
+                    merged.append(versions[rid].values)
+                    pos = at
+                merged += rows[pos:]
+                rows = merged
+            obs.counter(
+                "engine.snapshot.versions_examined",
+                keep + len(created_after) + len(restored),
+            )
+            self._visible = rows
+            self._count = len(rows)
         return self._visible
 
     def count(self) -> int:
@@ -76,12 +139,13 @@ class Snapshot:
         cached = self._lookup_cache.get((column, key))
         if cached is not None:
             return cached
-        index = self.table.index_on(column)
+        table = self.table
+        index = table.index_on(column)
         if index is None:
             raise LookupError(f"no index on {self.name}.{column}")
         out = []
         for rid in index.lookup(key):
-            version = self.table.version(rid)
+            version = table.version(rid)
             if version.visible_at(self.lsn):
                 out.append(version.values)
         # Visibility at a fixed LSN never changes, so the probe result is a

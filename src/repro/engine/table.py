@@ -17,11 +17,23 @@ Snapshots make the correct historical read a one-liner.
 Updates are recorded as delete-plus-insert under a single LSN, and every
 modification appends a :class:`ModEvent` to the table's history; delta
 tables in :mod:`repro.ivm.delta` are windows over this history.
+
+Besides the version list (rid order, which is also creation order), a
+table keeps the visibility state that snapshots derive from, updated in
+O(1) per modification: the **live set** (rid -> values of every current
+row, in rid order) and the **kill log** (the rids of killed versions, in
+the LSN order of their deaths).  A snapshot at LSN ``L`` is the live set
+minus the rid suffix created after ``L``, plus the versions killed after
+``L`` -- O(live rows + modifications since ``L``), never a pass over the
+whole version history.  :meth:`Table.snapshot` also hands every reader at
+the most recent snapshot LSN the same :class:`Snapshot`, so one
+maintenance batch's queries share one materialization.
 """
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -32,7 +44,7 @@ from repro.engine.snapshot import Snapshot
 from repro.engine.types import Schema
 
 
-@dataclass
+@dataclass(slots=True)
 class RowVersion:
     """One stored version of a row."""
 
@@ -45,7 +57,7 @@ class RowVersion:
         return self.xmin <= lsn and (self.xmax is None or self.xmax > lsn)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModEvent:
     """One logical modification, as seen by delta tables.
 
@@ -256,7 +268,13 @@ class Table:
         self.schema = schema
         self.counter = counter or OperationCounter()
         self._versions: list[RowVersion] = []
-        self._live_count = 0
+        #: rid -> values of every live version, in rid order (inserts
+        #: append the highest rid; deletes pop in O(1)).
+        self._live: dict[int, tuple] = {}
+        #: rids of killed versions in the LSN order of their deaths.
+        self._killed = array("q")
+        #: The most recent snapshot, shared by readers at its LSN.
+        self._snapshot: Snapshot | None = None
         self._lsn = 0
         #: The single shared modification log; delta tables window into it.
         self.history = ModLog()
@@ -275,7 +293,7 @@ class Table:
     @property
     def live_count(self) -> int:
         """Number of rows visible at the current LSN."""
-        return self._live_count
+        return len(self._live)
 
     def version_count(self) -> int:
         """Total stored versions, live and dead (storage footprint)."""
@@ -287,9 +305,7 @@ class Table:
 
     def live_rows(self) -> Iterator[tuple]:
         """Iterate current row values (no cost charged; introspection only)."""
-        for v in self._versions:
-            if v.xmax is None:
-                yield v.values
+        return iter(list(self._live.values()))
 
     # ------------------------------------------------------------------
     # Indexing
@@ -350,7 +366,7 @@ class Table:
         self._lsn += 1
         rid = len(self._versions)
         self._versions.append(RowVersion(values=row, xmin=self._lsn))
-        self._live_count += 1
+        self._live[rid] = row
         self.counter.charge("row_writes")
         for index in self.indexes.values():
             pos = self.schema.position(index.column)
@@ -365,7 +381,8 @@ class Table:
         version = self._version_live(rid)
         self._lsn += 1
         version.xmax = self._lsn
-        self._live_count -= 1
+        del self._live[rid]
+        self._killed.append(rid)
         self.counter.charge("row_writes")
         # Indexes are version-aware: dead versions stay indexed and readers
         # filter by snapshot visibility, so historical probes remain exact.
@@ -395,6 +412,9 @@ class Table:
         new_rid = len(self._versions)
         new_row = tuple(new_values)
         self._versions.append(RowVersion(values=new_row, xmin=self._lsn))
+        del self._live[rid]
+        self._killed.append(rid)
+        self._live[new_rid] = new_row
         self.counter.charge("row_writes", 2)
         for index in self.indexes.values():
             pos = self.schema.position(index.column)
@@ -413,24 +433,30 @@ class Table:
 
     def find_rids(self, predicate: Callable[[tuple], bool]) -> list[int]:
         """Row ids of live versions matching ``predicate`` (no cost charged)."""
-        return [
-            rid
-            for rid, v in enumerate(self._versions)
-            if v.xmax is None and predicate(v.values)
-        ]
+        return [rid for rid, values in self._live.items() if predicate(values)]
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
 
     def snapshot(self, lsn: int | None = None) -> Snapshot:
-        """The table's state as of ``lsn`` (default: now)."""
+        """The table's state as of ``lsn`` (default: now).
+
+        Asked again at the most recent snapshot's LSN, this returns that
+        same object: visibility at a fixed LSN never changes, so every
+        reader there -- e.g. the insert and delete queries of one
+        maintenance batch -- shares one materialization, one index-lookup
+        cache and one hash-join build per key column.
+        """
         at = self._lsn if lsn is None else lsn
         if at < 0 or at > self._lsn:
             raise ExecutionError(
                 f"snapshot LSN {at} outside [0, {self._lsn}] for {self.name}"
             )
-        return Snapshot(self, at)
+        snapshot = self._snapshot
+        if snapshot is None or snapshot.lsn != at:
+            snapshot = self._snapshot = Snapshot(self, at)
+        return snapshot
 
     def events_between(self, lsn_from: int, lsn_to: int) -> list[ModEvent]:
         """History events with ``lsn_from < lsn <= lsn_to`` (a delta window)."""
@@ -457,6 +483,9 @@ class Table:
             raise ExecutionError(
                 f"vacuum watermark {watermark} outside [0, {self._lsn}]"
             )
+        # Rids may be renumbered: no cached snapshot (rows, lookups, hash
+        # builds) outlives a vacuum.
+        self._snapshot = None
         survivors = [
             v
             for v in self._versions
@@ -466,6 +495,12 @@ class Table:
         if reclaimed == 0:
             return 0
         self._versions = survivors
+        self._live = {
+            rid: v.values for rid, v in enumerate(survivors) if v.xmax is None
+        }
+        dead = [rid for rid, v in enumerate(survivors) if v.xmax is not None]
+        dead.sort(key=lambda rid: survivors[rid].xmax)
+        self._killed = array("q", dead)
         self.counter.charge("row_writes", len(survivors))
         self._index_on_cache.clear()
         # Rebuild every index against the surviving versions.
@@ -488,6 +523,6 @@ class Table:
 
     def __repr__(self) -> str:
         return (
-            f"Table({self.name!r}, rows={self._live_count}, "
+            f"Table({self.name!r}, rows={len(self._live)}, "
             f"lsn={self._lsn}, indexes={list(self.indexes)})"
         )

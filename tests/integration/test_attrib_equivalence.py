@@ -18,14 +18,19 @@ from __future__ import annotations
 import pytest
 
 from repro.engine.database import Database
+from repro.ivm.maintenance import apply_batch
+from repro.ivm.view import MaterializedView
 from repro.obs import attrib
 from repro.tpcr.gen import load_tpcr
+from repro.tpcr.updates import SupplierNationUpdater
 from tests.conftest import TEST_SCALE, make_paper_spec, make_tpcr_db
 from tests.integration.test_block_equivalence import (
     SEEDS,
     build_db,
     hash_join_specs,
+    profile_shape,
     query_specs,
+    unshare_snapshots,
 )
 
 #: The acceptance grid: small/default blocks, serial/parallel, both pools.
@@ -159,3 +164,38 @@ class TestPaperQueryProfile:
             return {f: after[f] - before[f] for f in after}
 
         assert delta(db) == delta(reference)
+
+
+class TestSharedSnapshotBuild:
+    """One Supplier batch runs a delete and an insert query over the same
+    PartSupp snapshot; they share its hash build.  Their profiles and
+    cost tables must equal those of two fresh builds."""
+
+    @staticmethod
+    def run_batch(workers, fresh):
+        captured: list[dict] = []
+        with pytest.MonkeyPatch.context() as patch:
+            if fresh:
+                unshare_snapshots(patch)
+            with make_tpcr_parallel_db(workers) as db:
+                view = MaterializedView("v", db, make_paper_spec())
+                SupplierNationUpdater(db.table("supplier"), seed=5).apply(3)
+                view.deltas["S"].pull()
+                previous = attrib.set_profile_sink(captured.append)
+                try:
+                    apply_batch(view, "S", 3)
+                finally:
+                    attrib.set_profile_sink(previous)
+                return (
+                    [profile_shape(p["root"]) for p in captured],
+                    [p["tally"] for p in captured],
+                    db.counter.snapshot(),
+                    view.contents(),
+                )
+
+    @pytest.mark.parametrize("workers", (0, 2))
+    def test_batch_queries_match_fresh_builds(self, workers):
+        shared = self.run_batch(workers, fresh=False)
+        assert len(shared[0]) == 2  # the delete and the insert query
+        assert "Build(SeqScan(partsupp AS PS))" in repr(shared[0])
+        assert shared == self.run_batch(workers, fresh=True)

@@ -24,6 +24,8 @@ import random
 
 import pytest
 
+from repro import obs
+from repro.engine import join as join_mod
 from repro.engine.block import RowBlock, blocks_to_rows, iter_blocks
 from repro.engine.costmodel import OperationCounter
 from repro.engine.database import Database
@@ -31,7 +33,8 @@ from repro.engine.expr import col, lit
 from repro.engine.join import NestedLoopJoin
 from repro.engine.operators import Filter, Project, RowSource
 from repro.engine.query import AggregateSpec, JoinSpec, QuerySpec
-from repro.engine.table import ModEvent, ModLog
+from repro.engine.snapshot import Snapshot
+from repro.engine.table import ModEvent, ModLog, Table
 from repro.engine.types import ColumnType, Schema
 from repro.ivm.maintenance import apply_batch, full_refresh
 from repro.ivm.view import MaterializedView
@@ -85,7 +88,8 @@ def build_db(
         )
     for k in range(10):
         dim.insert((k, rng.randint(0, 2), round(rng.uniform(0, 10), 3)))
-    if rng.random() < 0.5:
+    coin = rng.random() < 0.5  # drawn either way: the data stays per-seed
+    if coin if index_dim is None else index_dim:
         dim.create_index("k")
     return db
 
@@ -438,6 +442,93 @@ def test_process_backend_view_maintenance_with_join_identical():
         block_size, seed, workers=2, backend="process"
     )
     assert result == reference
+
+
+SCAN_BUILD_COUNTERS = (
+    "engine.join.hash.build_rows",
+    "engine.scan.scans",
+    "engine.scan.rows_out",
+    "engine.scan.pages",
+)
+
+
+def unshare_snapshots(patch: pytest.MonkeyPatch) -> None:
+    """Hand every snapshot reader its own :class:`Snapshot` (so every
+    hash join builds its own table): the reference for shared builds."""
+    patch.setattr(
+        Table, "snapshot",
+        lambda self, lsn=None: Snapshot(
+            self, self.current_lsn if lsn is None else lsn
+        ),
+    )
+
+
+def profile_shape(node: dict) -> dict:
+    """A profile tree without its wall-clock and worker-timing fields."""
+    return {
+        key: [profile_shape(c) for c in value] if key == "children" else value
+        for key, value in node.items()
+        if key not in ("wall_ms", "workers")
+    }
+
+
+def run_shared_build_pair(block_size, workers, backend, fresh):
+    """Two hash-join queries over one ``dim`` snapshot; per query: rows,
+    charge delta, profile tree and scan/build counters, plus the number
+    of hash tables actually built.  ``fresh=True`` hands every reader its
+    own snapshot, so each join builds its own table (the reference)."""
+    seed = SEEDS[0]
+    built = []
+    real_hash_rows = join_mod._hash_rows
+
+    def counting_hash_rows(rows, pos):
+        built.append(len(rows))
+        return real_hash_rows(rows, pos)
+
+    per_query = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(join_mod, "_hash_rows", counting_hash_rows)
+        if fresh:
+            unshare_snapshots(patch)
+        with build_db(
+            block_size, seed, workers, backend=backend, index_dim=False
+        ) as db:
+            for spec in hash_join_specs(seed)[:2]:
+                before = db.counter.snapshot()
+                with obs.recording() as recorder:
+                    result = db.execute(spec, profile=True)
+                after = db.counter.snapshot()
+                counts = {}
+                for name in SCAN_BUILD_COUNTERS:
+                    metric = recorder.registry.get(name)
+                    counts[name] = metric.value if metric is not None else 0
+                per_query.append((
+                    result.rows,
+                    {f: after[f] - before[f] for f in after},
+                    profile_shape(result.profile.to_dict()["root"]),
+                    counts,
+                ))
+    return per_query, len(built)
+
+
+@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("workers", (0, 2))
+@pytest.mark.parametrize("block_size", BLOCK_SIZES)
+def test_shared_snapshot_hash_build_matches_fresh_builds(
+    block_size, workers, backend
+):
+    """Two queries sharing one snapshot's hash build: rows, per-query
+    charges, profile trees and ``engine.join.hash.build_rows`` equal two
+    fresh builds', and the table is really built once."""
+    shared, shared_builds = run_shared_build_pair(
+        block_size, workers, backend, fresh=False
+    )
+    fresh, fresh_builds = run_shared_build_pair(
+        block_size, workers, backend, fresh=True
+    )
+    assert (shared_builds, fresh_builds) == (1, 2)
+    assert shared == fresh
+    assert all(q[3]["engine.join.hash.build_rows"] > 0 for q in shared)
 
 
 @pytest.mark.parametrize(

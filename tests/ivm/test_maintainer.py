@@ -162,3 +162,47 @@ class TestReplayThroughMaintainer:
         assert maintainer.view.contents() == maintainer.view.recompute()
         executed = [e.action for e in maintainer.ledger.entries]
         assert executed[2] == (6, 2)
+
+
+class TestVerifyChecksState:
+    """``verify`` compares the view's aggregate *state* with a from-scratch
+    fold at its applied LSNs, not just its visible output."""
+
+    @staticmethod
+    def flush_behind_head(maintainer, ps, sup):
+        # 45 PartSupp and 1 Supplier modification arrive; the replayed
+        # round flushes only 40 of them, so verify folds both tables at
+        # LSNs behind their heads.
+        ps.apply(45)
+        sup.apply(1)
+        maintainer.step(0)
+
+    def test_verify_folds_at_applied_lsns_behind_the_head(self):
+        maintainer, ps, sup = make_maintainer(
+            ReplayPolicy([(40, 0)]), verify=True
+        )
+        self.flush_behind_head(maintainer, ps, sup)
+        view = maintainer.view
+        for alias, table in (("PS", ps.table), ("S", sup.table)):
+            assert view.deltas[alias].applied_lsn < table.current_lsn
+        assert view.state_divergence() is None
+
+    def test_phantom_min_copy_fails_verify(self, monkeypatch):
+        """Applying one insert batch twice leaves a second copy of every
+        inserted value: MIN's visible value is unchanged, so the output
+        comparison passes, but the state check must not."""
+        maintainer, ps, sup = make_maintainer(
+            ReplayPolicy([(40, 0)]), verify=True
+        )
+        view = maintainer.view
+        apply_once = view._apply
+
+        def apply_inserts_twice(rows, layout, sign):
+            apply_once(rows, layout, sign)
+            if sign > 0:
+                apply_once(rows, layout, sign)
+
+        monkeypatch.setattr(view, "_apply", apply_inserts_twice)
+        with pytest.raises(AssertionError, match="expected state"):
+            self.flush_behind_head(maintainer, ps, sup)
+        assert view.contents() == view.recompute()
